@@ -138,14 +138,16 @@ fn run() -> Result<String, String> {
     }
     Ok(format!(
         "large-mesh-smoke: {} nodes, {elements} elements ok in {:.1} s \
-         (assemble {:.0} ms, cg {:.0} ms, {iterations} iterations, \
-         residual {} femto, {} nonzeros) -> {path}",
+         (assemble {:.0} ms, IC(0) factor {:.0} ms, cg {:.0} ms, {iterations} iterations, \
+         residual {} femto, {} nonzeros, {} IC(0) fall-backs) -> {path}",
         case.model().mesh().node_count(),
         elapsed.as_secs_f64(),
         span_ms("fem.assemble"),
+        span_ms("fem.cg.factor"),
         span_ms("fem.cg.iterate"),
         report.counter("fem.cg.residual_femto").unwrap_or(0),
         report.counter("fem.cg.nonzeros").unwrap_or(0),
+        report.counter("fem.cg.ic0_fallbacks").unwrap_or(0),
     ))
 }
 

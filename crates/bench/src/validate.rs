@@ -184,9 +184,16 @@ pub const SPECS: [ArtifactSpec; 7] = [
     },
     ArtifactSpec {
         file: "BENCH_sparse.json",
-        positive_spans: &["fem.assemble", "fem.cg.iterate", "fem.solve_sparse"],
+        positive_spans: &[
+            "fem.assemble",
+            "fem.cg.factor",
+            "fem.cg.iterate",
+            "fem.solve_sparse",
+        ],
         positive_counters: &["fem.cg.iterations", "fem.cg.nonzeros"],
-        zero_counters: &[],
+        // A well-posed elastic plate: IC(0) must factor it without
+        // falling back to the Jacobi preconditioner.
+        zero_counters: &["fem.cg.ic0_fallbacks"],
         // The large-mesh run is residual-audited to 1e-8 (1e7 femto).
         bounded_counters: &[("fem.cg.residual_femto", 10_000_000)],
         balances: &[],
@@ -393,6 +400,27 @@ mod tests {
         assert!(validate(spec, &broken)
             .iter()
             .any(|v| v.contains("sum to 8")));
+    }
+
+    #[test]
+    fn an_ic0_fallback_on_the_smoke_plate_is_flagged() {
+        let spec = spec_for("BENCH_sparse.json").expect("spec exists");
+        let spans: Vec<(&str, u64)> = spec.positive_spans.iter().map(|s| (*s, 1000)).collect();
+        let with_fallbacks = |fallbacks| {
+            report(
+                &spans,
+                &[
+                    ("fem.cg.iterations", 1194),
+                    ("fem.cg.nonzeros", 1_625_044),
+                    ("fem.cg.residual_femto", 959),
+                    ("fem.cg.ic0_fallbacks", fallbacks),
+                ],
+            )
+        };
+        assert_eq!(validate(spec, &with_fallbacks(0)), Vec::<String>::new());
+        assert!(validate(spec, &with_fallbacks(1))
+            .iter()
+            .any(|v| v.contains("fem.cg.ic0_fallbacks")));
     }
 
     #[test]

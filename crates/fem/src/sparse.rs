@@ -1,5 +1,6 @@
-//! Compressed-sparse-row assembly and a Jacobi-preconditioned
-//! conjugate-gradient solver — the large-mesh backend.
+//! Compressed-sparse-row assembly and an IC(0)-preconditioned
+//! conjugate-gradient solver with a counted Jacobi fall-back — the
+//! large-mesh backend.
 //!
 //! The 1970 program stack solved everything by direct factorization
 //! (band, skyline, dense), whose storage and flop counts grow with the
@@ -7,15 +8,20 @@
 //! first, so the `LargeMesh` capability routes solves through this
 //! module instead: stiffness held in CSR (memory proportional to the
 //! nonzeros, not the band), solved iteratively by conjugate gradients
-//! with a Jacobi (diagonal) preconditioner.
+//! preconditioned with IC(0) — a Cholesky factor restricted to the
+//! matrix's own lower-triangle pattern, so it costs no fill. An IC(0)
+//! pivot can go non-positive even for a positive-definite matrix; the
+//! solve then falls back to the Jacobi (diagonal) preconditioner and
+//! reports it in [`CgStats::ic0_fallbacks`], never silently.
 //!
 //! Determinism discipline matches the rest of the repo: the sparsity
 //! pattern comes from the mesh adjacency (a pure function of the
 //! numbering), scatter-add happens serially in element order, and the
-//! only parallel step is the matrix–vector product — each output row is
-//! an independent dot product computed in row order by
-//! [`cafemio_instrument::par::parallel_map`], so results are
-//! bit-identical at any thread count.
+//! iteration is serial — matvec, triangular solves and reductions all
+//! run in index order, with no thread spawns and no per-iteration
+//! allocation — so results are bit-identical at any thread count. The
+//! factor follows the node numbering, so the IDLZ Cuthill–McKee
+//! renumbering that narrowed the 1970 band also orders IC(0).
 
 use crate::FemError;
 
@@ -35,9 +41,6 @@ pub struct CsrMatrix {
     cols: Vec<usize>,
     /// Entry values, parallel to `cols`.
     values: Vec<f64>,
-    /// `(start, end)` per row, so the parallel matvec can map over rows
-    /// without rebuilding an index vector every iteration.
-    rows: Vec<(usize, usize)>,
 }
 
 impl CsrMatrix {
@@ -45,8 +48,7 @@ impl CsrMatrix {
     /// the column indices of row `i`, sorted ascending with no
     /// duplicates.
     pub fn with_pattern(pattern: &[Vec<usize>]) -> CsrMatrix {
-        let n = pattern.len();
-        let mut row_start = Vec::with_capacity(n + 1);
+        let mut row_start = Vec::with_capacity(pattern.len() + 1);
         row_start.push(0usize);
         let mut total = 0usize;
         for row in pattern {
@@ -57,18 +59,16 @@ impl CsrMatrix {
         for row in pattern {
             cols.extend_from_slice(row);
         }
-        let rows = row_start.windows(2).map(|w| (w[0], w[1])).collect();
         CsrMatrix {
             row_start,
             cols,
             values: vec![0.0; total],
-            rows,
         }
     }
 
     /// Matrix order.
     pub fn order(&self) -> usize {
-        self.rows.len()
+        self.row_start.len() - 1
     }
 
     /// Stored entries (both triangles).
@@ -106,24 +106,34 @@ impl CsrMatrix {
         self.position(i, j).map_or(0.0, |k| self.values[k])
     }
 
-    /// `y = A·x`, computed row-parallel: each output element is an
-    /// independent dot product, and [`parallel_map`] returns them in row
-    /// order, so the result is bit-identical to the serial loop.
-    ///
-    /// [`parallel_map`]: cafemio_instrument::par::parallel_map
+    /// `y = A·x` as a fresh vector; see [`mul_vec_into`](Self::mul_vec_into).
     ///
     /// # Panics
     ///
     /// Panics when `x` does not match the matrix order.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.order()];
+        self.mul_vec_into(x, &mut y);
+        y
+    }
+
+    /// `y = A·x` into a caller-owned buffer: one serial scan over the
+    /// rows, each output element a dot product summed in column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` or `y` does not match the matrix order.
+    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.order(), "vector/matrix size mismatch");
-        cafemio_instrument::par::parallel_map(&self.rows, |&(start, end)| {
-            let mut sum = 0.0;
-            for k in start..end {
-                sum += self.values[k] * x[self.cols[k]];
-            }
-            sum
-        })
+        assert_eq!(y.len(), self.order(), "vector/matrix size mismatch");
+        for (yi, bounds) in y.iter_mut().zip(self.row_start.windows(2)) {
+            let row = bounds[0]..bounds[1];
+            *yi = self.cols[row.clone()]
+                .iter()
+                .zip(&self.values[row])
+                .map(|(&j, v)| v * x[j])
+                .sum();
+        }
     }
 
     /// The main diagonal, the Jacobi preconditioner's data.
@@ -230,15 +240,268 @@ pub struct CgStats {
     pub iterations: usize,
     /// Relative residual at exit.
     pub residual: f64,
+    /// 1 when the IC(0) factorization broke down and the solve ran with
+    /// the Jacobi preconditioner instead, 0 otherwise.
+    pub ic0_fallbacks: usize,
 }
 
-/// Solves `A·x = b` for symmetric positive-definite `A` by
-/// Jacobi-preconditioned conjugate gradients.
+/// The IC(0) factor `L` (`A ≈ L·Lᵀ`) on the lower-triangle pattern of a
+/// [`CsrMatrix`], stored by rows. The last entry of each row is the
+/// diagonal, held as its reciprocal `1 / L[i][i]` so the factorization
+/// and both triangular solves multiply instead of divide.
+#[derive(Debug)]
+struct Ic0 {
+    /// `row_start[i]..row_start[i + 1]` bounds row `i`; its last entry
+    /// is the (reciprocal) diagonal.
+    row_start: Vec<usize>,
+    /// Column index of every stored entry, ascending within a row.
+    cols: Vec<usize>,
+    /// Factor values, parallel to `cols`.
+    values: Vec<f64>,
+}
+
+impl Ic0 {
+    /// Factors the lower triangle of `matrix`, dropping every fill entry
+    /// outside its pattern. `None` when a pivot is non-positive or not
+    /// finite — the breakdown the Jacobi fall-back covers.
+    ///
+    /// Every row must store a positive diagonal; [`CgSystem::factor`]
+    /// checks that before calling.
+    fn factor(matrix: &CsrMatrix) -> Option<Ic0> {
+        let n = matrix.order();
+        let mut row_start = Vec::with_capacity(n + 1);
+        let mut cols = Vec::with_capacity(matrix.nonzeros() / 2 + n);
+        let mut values = Vec::with_capacity(matrix.nonzeros() / 2 + n);
+        row_start.push(0usize);
+        for i in 0..n {
+            for k in matrix.row_start[i]..matrix.row_start[i + 1] {
+                if matrix.cols[k] > i {
+                    break;
+                }
+                cols.push(matrix.cols[k]);
+                values.push(matrix.values[k]);
+            }
+            row_start.push(cols.len());
+        }
+        for i in 0..n {
+            let (start, diag) = (row_start[i], row_start[i + 1] - 1);
+            for idx in start..diag {
+                // L[i][k] = (A[i][k] − Σ_{j<k} L[i][j]·L[k][j]) / L[k][k],
+                // the sum running over the columns rows i and k share.
+                let k = cols[idx];
+                let k_diag = row_start[k + 1] - 1;
+                let (mut a, mut b) = (start, row_start[k]);
+                let mut sum = 0.0;
+                while a < idx && b < k_diag {
+                    match cols[a].cmp(&cols[b]) {
+                        std::cmp::Ordering::Less => a += 1,
+                        std::cmp::Ordering::Greater => b += 1,
+                        std::cmp::Ordering::Equal => {
+                            sum += values[a] * values[b];
+                            a += 1;
+                            b += 1;
+                        }
+                    }
+                }
+                values[idx] = (values[idx] - sum) * values[k_diag];
+            }
+            let pivot = values[diag] - values[start..diag].iter().map(|v| v * v).sum::<f64>();
+            if !pivot.is_finite() || pivot <= 0.0 {
+                return None;
+            }
+            values[diag] = 1.0 / pivot.sqrt();
+        }
+        Some(Ic0 {
+            row_start,
+            cols,
+            values,
+        })
+    }
+
+    /// `z = (L·Lᵀ)⁻¹·r`: a forward solve with `L`, then a backward solve
+    /// with `Lᵀ` in place, reading `L` by rows (column-oriented for the
+    /// transpose).
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        for (i, &ri) in r.iter().enumerate() {
+            let (start, diag) = (self.row_start[i], self.row_start[i + 1] - 1);
+            let mut sum = ri;
+            for idx in start..diag {
+                sum -= self.values[idx] * z[self.cols[idx]];
+            }
+            z[i] = sum * self.values[diag];
+        }
+        for i in (0..r.len()).rev() {
+            let (start, diag) = (self.row_start[i], self.row_start[i + 1] - 1);
+            let zi = z[i] * self.values[diag];
+            z[i] = zi;
+            for idx in start..diag {
+                z[self.cols[idx]] -= self.values[idx] * zi;
+            }
+        }
+    }
+}
+
+/// The preconditioner one CG solve runs with.
+#[derive(Debug)]
+enum Preconditioner {
+    /// Incomplete Cholesky on the matrix pattern — the default.
+    Ic0(Ic0),
+    /// The diagonal, used only when IC(0) breaks down.
+    Jacobi(Vec<f64>),
+}
+
+impl Preconditioner {
+    /// `z = M⁻¹·r`.
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        match self {
+            Preconditioner::Ic0(factor) => factor.apply(r, z),
+            Preconditioner::Jacobi(diag) => {
+                for ((zi, ri), di) in z.iter_mut().zip(r).zip(diag) {
+                    *zi = ri / di;
+                }
+            }
+        }
+    }
+}
+
+/// A checked matrix with its preconditioner built: the split between
+/// setup ([`factor`](Self::factor)) and iteration
+/// ([`solve`](Self::solve)) that the `fem.cg.factor` and
+/// `fem.cg.iterate` spans time apart.
+#[derive(Debug)]
+pub(crate) struct CgSystem<'a> {
+    matrix: &'a CsrMatrix,
+    preconditioner: Preconditioner,
+}
+
+impl<'a> CgSystem<'a> {
+    /// Checks `matrix` and builds its IC(0) preconditioner, falling back
+    /// to Jacobi when a pivot breaks down.
+    ///
+    /// # Errors
+    ///
+    /// * [`FemError::NonFinite`] when a stored entry is NaN or infinite.
+    /// * [`FemError::SingularMatrix`] when a diagonal entry is not
+    ///   positive.
+    pub(crate) fn factor(matrix: &'a CsrMatrix) -> Result<CgSystem<'a>, FemError> {
+        // Bad input is not an IC(0) breakdown: reject it here so the
+        // fall-back never hides it.
+        for (i, bounds) in matrix.row_start.windows(2).enumerate() {
+            if matrix.values[bounds[0]..bounds[1]]
+                .iter()
+                .any(|v| !v.is_finite())
+            {
+                return Err(FemError::NonFinite { equation: i });
+            }
+        }
+        let diag = matrix.diagonal();
+        if let Some(i) = diag.iter().position(|&d| d <= 0.0) {
+            return Err(FemError::SingularMatrix { equation: i });
+        }
+        let preconditioner = match Ic0::factor(matrix) {
+            Some(factor) => Preconditioner::Ic0(factor),
+            None => Preconditioner::Jacobi(diag),
+        };
+        Ok(CgSystem {
+            matrix,
+            preconditioner,
+        })
+    }
+
+    /// 1 when IC(0) broke down and the Jacobi diagonal preconditions
+    /// instead, 0 otherwise.
+    pub(crate) fn ic0_fallbacks(&self) -> usize {
+        usize::from(matches!(self.preconditioner, Preconditioner::Jacobi(_)))
+    }
+
+    /// Runs preconditioned CG on `A·x = b`. Every work vector is
+    /// allocated once up front; the loop itself allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As for [`solve_cg`], minus the matrix checks
+    /// [`factor`](Self::factor) already made.
+    pub(crate) fn solve(
+        &self,
+        b: &[f64],
+        options: &CgOptions,
+    ) -> Result<(Vec<f64>, CgStats), FemError> {
+        let n = self.matrix.order();
+        if b.len() != n {
+            return Err(FemError::RhsLength {
+                expected: n,
+                actual: b.len(),
+            });
+        }
+        let stats = |iterations, residual| CgStats {
+            iterations,
+            residual,
+            ic0_fallbacks: self.ic0_fallbacks(),
+        };
+        let b_norm = dot(b, b).sqrt();
+        if b_norm == 0.0 {
+            return Ok((vec![0.0; n], stats(0, 0.0)));
+        }
+
+        let mut x = vec![0.0; n];
+        let mut r = b.to_vec();
+        let mut z = vec![0.0; n];
+        let mut q = vec![0.0; n];
+        self.preconditioner.apply(&r, &mut z);
+        let mut p = z.clone();
+        let mut rz = dot(&r, &z);
+        let budget = options.budget_for(n);
+        let mut residual = 1.0;
+
+        for iteration in 1..=budget {
+            self.matrix.mul_vec_into(&p, &mut q);
+            let pq = dot(&p, &q);
+            if !pq.is_finite() {
+                return Err(FemError::NonFinite { equation: 0 });
+            }
+            if pq <= 0.0 {
+                return Err(FemError::SingularMatrix { equation: 0 });
+            }
+            let alpha = rz / pq;
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * q[i];
+            }
+            residual = dot(&r, &r).sqrt() / b_norm;
+            if !residual.is_finite() {
+                return Err(FemError::NonFinite { equation: 0 });
+            }
+            if residual <= options.tolerance {
+                return Ok((x, stats(iteration, residual)));
+            }
+            self.preconditioner.apply(&r, &mut z);
+            let rz_next = dot(&r, &z);
+            let beta = rz_next / rz;
+            rz = rz_next;
+            for i in 0..n {
+                p[i] = z[i] + beta * p[i];
+            }
+        }
+        Err(FemError::CgNoConvergence {
+            iterations: budget,
+            residual,
+            tolerance: options.tolerance,
+        })
+    }
+}
+
+/// Serial, index-ordered dot product.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Solves `A·x = b` for symmetric positive-definite `A` by IC(0)-
+/// preconditioned conjugate gradients, falling back to the Jacobi
+/// preconditioner (counted in [`CgStats::ic0_fallbacks`]) when the
+/// incomplete factorization breaks down.
 ///
-/// Every floating-point reduction (dot products, vector updates) runs
-/// serially in index order and the matvec is row-parallel with ordered
-/// results, so the returned solution is bit-identical at any thread
-/// count.
+/// Factorization and iteration are serial and run in index order, so
+/// the returned solution is bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -246,8 +509,8 @@ pub struct CgStats {
 /// * [`FemError::SingularMatrix`] when a diagonal entry is not positive
 ///   or the iteration meets a direction of non-positive curvature — the
 ///   matrix is not positive definite (an under-constrained model).
-/// * [`FemError::NonFinite`] when a NaN or infinity enters the
-///   iteration.
+/// * [`FemError::NonFinite`] when the matrix stores a NaN or infinity,
+///   or one enters the iteration.
 /// * [`FemError::CgNoConvergence`] when the iteration budget runs out
 ///   before the tolerance is met.
 pub fn solve_cg(
@@ -255,84 +518,7 @@ pub fn solve_cg(
     b: &[f64],
     options: &CgOptions,
 ) -> Result<(Vec<f64>, CgStats), FemError> {
-    let n = matrix.order();
-    if b.len() != n {
-        return Err(FemError::RhsLength {
-            expected: n,
-            actual: b.len(),
-        });
-    }
-    let diag = matrix.diagonal();
-    for (i, &d) in diag.iter().enumerate() {
-        if !d.is_finite() {
-            return Err(FemError::NonFinite { equation: i });
-        }
-        if d <= 0.0 {
-            return Err(FemError::SingularMatrix { equation: i });
-        }
-    }
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        return Ok((
-            vec![0.0; n],
-            CgStats {
-                iterations: 0,
-                residual: 0.0,
-            },
-        ));
-    }
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z: Vec<f64> = r.iter().zip(&diag).map(|(ri, di)| ri / di).collect();
-    let mut p = z.clone();
-    let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-    let budget = options.budget_for(n);
-    let mut residual = 1.0;
-
-    for iteration in 1..=budget {
-        let q = matrix.mul_vec(&p);
-        let pq: f64 = p.iter().zip(&q).map(|(a, b)| a * b).sum();
-        if !pq.is_finite() {
-            return Err(FemError::NonFinite { equation: 0 });
-        }
-        if pq <= 0.0 {
-            return Err(FemError::SingularMatrix { equation: 0 });
-        }
-        let alpha = rz / pq;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-        }
-        let r_norm = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        residual = r_norm / b_norm;
-        if !residual.is_finite() {
-            return Err(FemError::NonFinite { equation: 0 });
-        }
-        if residual <= options.tolerance {
-            return Ok((
-                x,
-                CgStats {
-                    iterations: iteration,
-                    residual,
-                },
-            ));
-        }
-        for i in 0..n {
-            z[i] = r[i] / diag[i];
-        }
-        let rz_next: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-        let beta = rz_next / rz;
-        rz = rz_next;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    Err(FemError::CgNoConvergence {
-        iterations: budget,
-        residual,
-        tolerance: options.tolerance,
-    })
+    CgSystem::factor(matrix)?.solve(b, options)
 }
 
 #[cfg(test)]
@@ -367,6 +553,89 @@ mod tests {
         m
     }
 
+    /// The assembled plane-stress stiffness of a `side × side` plate of
+    /// CST pairs clamped along its bottom edge — the kind of system the
+    /// large-mesh backend exists for.
+    fn plate(side: usize) -> CsrMatrix {
+        let mesh = crate::model::tests::strip_mesh(side, side, 1.0, 1.0);
+        let mut model = crate::FemModel::new(
+            mesh,
+            crate::AnalysisKind::PlaneStress { thickness: 1.0 },
+            crate::Material::isotropic(30.0e6, 0.3),
+        );
+        for i in 0..=side {
+            model.fix_both(cafemio_mesh::NodeId(i));
+        }
+        model.assemble_sparse().unwrap().0
+    }
+
+    #[test]
+    fn ic0_of_a_fill_free_pattern_is_the_exact_factor() {
+        // A tridiagonal factors with no fill, so IC(0) is the complete
+        // Cholesky factor and CG converges in one step.
+        let m = laplacian(12);
+        let b: Vec<f64> = (0..12).map(|i| i as f64 - 4.5).collect();
+        let (_, stats) = solve_cg(&m, &b, &CgOptions::new()).unwrap();
+        assert_eq!(stats.iterations, 1);
+        assert_eq!(stats.ic0_fallbacks, 0);
+    }
+
+    #[test]
+    fn ic0_needs_under_a_third_of_jacobis_iterations_on_a_plate() {
+        let m = plate(20);
+        let b: Vec<f64> = (0..m.order()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (_, ic0) = solve_cg(&m, &b, &CgOptions::new()).unwrap();
+        let jacobi = CgSystem {
+            matrix: &m,
+            preconditioner: Preconditioner::Jacobi(m.diagonal()),
+        };
+        let (_, jacobi) = jacobi.solve(&b, &CgOptions::new()).unwrap();
+        assert_eq!(ic0.ic0_fallbacks, 0);
+        assert!(
+            3 * ic0.iterations < jacobi.iterations,
+            "IC(0) {} vs Jacobi {} iterations",
+            ic0.iterations,
+            jacobi.iterations
+        );
+    }
+
+    #[test]
+    fn ic0_breakdown_falls_back_to_jacobi_and_is_counted() {
+        // Kershaw's matrix: positive definite (eigenvalues 3 ± 2√2), but
+        // dropping the (3, 1) fill drives the last IC(0) pivot to
+        // 3 − 4/3 − 20/3 = −5.
+        let pattern = vec![vec![0, 1, 3], vec![0, 1, 2], vec![1, 2, 3], vec![0, 2, 3]];
+        let mut m = CsrMatrix::with_pattern(&pattern);
+        for (i, row) in pattern.iter().enumerate() {
+            for &j in row {
+                let v = match (i, j) {
+                    _ if i == j => 3.0,
+                    (0, 3) | (3, 0) => 2.0,
+                    _ => -2.0,
+                };
+                m.add(i, j, v);
+            }
+        }
+        assert!(Ic0::factor(&m).is_none());
+        let exact = [1.0, -2.0, 0.5, 4.0];
+        let b = m.mul_vec(&exact);
+        let (x, stats) = solve_cg(&m, &b, &CgOptions::new()).unwrap();
+        assert_eq!(stats.ic0_fallbacks, 1);
+        for (xi, ei) in x.iter().zip(&exact) {
+            assert!((xi - ei).abs() < 1e-10, "{xi} vs {ei}");
+        }
+    }
+
+    #[test]
+    fn non_finite_entry_is_the_typed_error() {
+        let mut m = laplacian(4);
+        m.add(2, 3, f64::NAN);
+        assert_eq!(
+            solve_cg(&m, &[1.0; 4], &CgOptions::new()).unwrap_err(),
+            FemError::NonFinite { equation: 2 }
+        );
+    }
+
     #[test]
     fn pattern_and_entries_round_trip() {
         let m = laplacian(5);
@@ -382,6 +651,9 @@ mod tests {
         let m = laplacian(4);
         let y = m.mul_vec(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(y, vec![0.0, 0.0, 0.0, 5.0]);
+        let mut into = vec![f64::NAN; 4];
+        m.mul_vec_into(&[1.0, 2.0, 3.0, 4.0], &mut into);
+        assert_eq!(into, y);
     }
 
     #[test]
@@ -414,8 +686,8 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_the_typed_error() {
-        let m = laplacian(50);
-        let b = vec![1.0; 50];
+        let m = plate(6);
+        let b = vec![1.0; m.order()];
         let err = solve_cg(&m, &b, &CgOptions::new().with_max_iterations(2)).unwrap_err();
         match err {
             FemError::CgNoConvergence {

@@ -31,6 +31,7 @@ pub const SPANS: &[&str] = &[
     "cache.lookup",
     "cache.store",
     "fem.assemble",
+    "fem.cg.factor",
     "fem.cg.iterate",
     "fem.element_stiffness",
     "fem.factor_solve",
@@ -80,6 +81,7 @@ pub const COUNTERS: &[&str] = &[
     "cache.evictions",
     "cache.hits",
     "cache.misses",
+    "fem.cg.ic0_fallbacks",
     "fem.cg.iterations",
     "fem.cg.nonzeros",
     "fem.cg.residual_femto",

@@ -23,6 +23,9 @@
 #   large_mesh  100k-element sparse-CG smoke + BENCH_sparse.json
 #   serve   deck service under concurrent load + BENCH_serve.json
 #   cache   edit-replay stage-cache bench (warm ≡ cold) + BENCH_cache.json
+#   perf    the benchmark, built as BENCHMARK.json builds it (own lockfile,
+#           --locked --offline), one traced large_plate run that must
+#           report "correct": true and "failed": 0
 #
 # Every bench-producing stage finishes by running the consolidated
 # bench_validate gate on its artifact.
@@ -108,6 +111,21 @@ run_serve() {
   validate_artifact BENCH_serve.json
 }
 
+run_perf() {
+  echo "== perf (the benchmark built from its own lockfile + one traced large_plate run)"
+  local log=target/perf_smoke.log
+  mkdir -p target
+  cargo run --release --locked --offline --quiet \
+    --manifest-path crates/bench/src/bin/perf/Cargo.toml -- \
+    --workload large_plate --seconds 1 --trace 1 | tee "$log"
+  local result
+  result=$(tail -n 1 "$log")
+  if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+    echo "perf: the result line must report \"correct\": true and \"failed\": 0" >&2
+    exit 1
+  fi
+}
+
 run_cache() {
   echo "== cache replay (warm-vs-cold edit replay over the catalog)"
   cargo run --locked --release -p cafemio-bench --bin cache_replay
@@ -116,7 +134,7 @@ run_cache() {
 
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
-  stages=(build test doc clippy fuzz bench batch audit lint lint-fix large_mesh serve cache)
+  stages=(build test doc clippy fuzz bench batch audit lint lint-fix large_mesh serve cache perf)
 fi
 
 for stage in "${stages[@]}"; do
@@ -134,6 +152,7 @@ for stage in "${stages[@]}"; do
     large_mesh) run_large_mesh ;;
     serve) run_serve ;;
     cache) run_cache ;;
+    perf) run_perf ;;
     *)
       echo "verify: unknown stage '$stage'" >&2
       exit 2

@@ -158,3 +158,101 @@ fn solver_is_deterministic() {
         assert!((s1.dofs()[i] - dense.dofs()[i]).abs() < 1e-8 * scale);
     }
 }
+
+/// Runs `f` with telemetry on and returns its result together with the
+/// `fem.cg.iterations` counter it published.
+fn with_cg_iterations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    use cafemio::instrument::{set_enabled, take_report};
+    set_enabled(true);
+    let _ = take_report();
+    let out = f();
+    let iterations = take_report().counter("fem.cg.iterations");
+    set_enabled(false);
+    (
+        out,
+        iterations.expect("a sparse solve publishes fem.cg.iterations"),
+    )
+}
+
+/// A 1 600-element plate past the Table-2 limits (eight 10 × 10
+/// bands), clamped along the bottom and pulled up along the top, solved
+/// through a `LargeMesh` + `SparseCg` session.
+fn large_plate_solution() -> Vec<f64> {
+    use cafemio::fem::{AnalysisKind, FemModel, Material, SolverBackend};
+    use cafemio::geom::Point;
+    use cafemio::idlz::{Capability, ShapeLine, Subdivision};
+    use cafemio::SessionConfig;
+    let mut spec = IdealizationSpec::new("DETERMINISM PLATE");
+    let mut options = spec.options();
+    options.plots = false;
+    options.punch = false;
+    spec.set_options(options);
+    for band in 0..8 {
+        let id = band as usize + 1;
+        let (lo, hi) = (band * 10, (band + 1) * 10);
+        spec.add_subdivision(Subdivision::rectangular(id, (0, lo), (10, hi)).unwrap());
+        for l in [lo, hi] {
+            let y = f64::from(l);
+            spec.add_shape_line(
+                id,
+                ShapeLine::straight((0, l), (10, l), Point::new(0.0, y), Point::new(10.0, y)),
+            );
+        }
+    }
+    let solved = cafemio::pipeline::PipelineBuilder::new()
+        .config(
+            SessionConfig::new()
+                .capability(Capability::LargeMesh)
+                .solver(SolverBackend::SparseCg),
+        )
+        .specs(vec![spec])
+        .idealize()
+        .unwrap()
+        .setup(|mesh| {
+            let mut model = FemModel::new(
+                mesh.clone(),
+                AnalysisKind::PlaneStress { thickness: 1.0 },
+                Material::isotropic(30.0e6, 0.3),
+            );
+            for (id, node) in mesh.nodes() {
+                if node.position.y.abs() < 1e-9 {
+                    model.fix_both(id);
+                }
+                if (node.position.y - 80.0).abs() < 1e-9 {
+                    model.add_force(id, 0.0, 10.0);
+                }
+            }
+            Ok(model)
+        })
+        .unwrap()
+        .solve()
+        .unwrap();
+    solved.cases()[0].solution().dofs().to_vec()
+}
+
+/// Asserts a serial and a parallel solve agree bit for bit and took the
+/// same number of CG iterations.
+fn assert_same_solve(name: &str, serial: (Vec<f64>, u64), parallel: (Vec<f64>, u64)) {
+    assert_eq!(serial.1, parallel.1, "{name}: CG iterations");
+    assert_eq!(serial.0.len(), parallel.0.len(), "{name}");
+    for (i, (s, p)) in serial.0.iter().zip(&parallel.0).enumerate() {
+        assert_eq!(s.to_bits(), p.to_bits(), "{name} dof {i}: {s} vs {p}");
+    }
+}
+
+#[test]
+fn sparse_cg_is_bit_identical_serial_and_parallel() {
+    // Assembly scatters in element order and the IC(0)-PCG iteration is
+    // serial, so vetoing the parallel hot paths must move neither a
+    // displacement bit nor the iteration count.
+    for entry in catalog() {
+        let result = Idealization::run(&(entry.spec)()).unwrap();
+        let model = cafemio_bench::jobs::standard_setup(&result.mesh).unwrap();
+        let (serial, parallel) = serial_then_parallel(|| {
+            with_cg_iterations(|| model.solve_sparse().unwrap().dofs().to_vec())
+        });
+        assert_same_solve(entry.name, serial, parallel);
+    }
+    let (serial, parallel) = serial_then_parallel(|| with_cg_iterations(large_plate_solution));
+    assert_same_solve("large plate", serial, parallel);
+}
