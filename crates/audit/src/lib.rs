@@ -21,7 +21,7 @@
 //! the stage that broke its promise via [`AuditError::stage`].
 //!
 //! The checks are wired into the staged-session pipeline behind
-//! `PipelineBuilder::audit(AuditOptions)` in `cafemio-core`; with audit
+//! `SessionConfig::audit(AuditOptions)` in `cafemio-core`; with audit
 //! off, none of this code runs.
 //!
 //! # Examples

@@ -19,11 +19,13 @@
 //! 3. **Lint headers** — every crate's `lib.rs` must declare
 //!    `#![forbid(unsafe_code)]`.
 //! 4. **Telemetry schema** — every span/counter name literal at an
-//!    emission site (`span("..")`, `counter("..")`, `.time("..")`,
-//!    `.count("..")`) in non-test library code must be declared in
-//!    `cafemio::instrument::names`, and every declared exact name must
-//!    have at least one emission site (no dead registry entries).
-//!    `--dump-telemetry` prints the extracted names instead of checking.
+//!    emission site in non-test library code must be declared in
+//!    `cafemio::instrument::names` as its kind: a `span("..")` /
+//!    `.time("..")` name in `SPANS`, a `counter("..")` / `.count("..")`
+//!    name in `COUNTERS` (prefix families are exempt). Every declared
+//!    exact name must have at least one emission site (no dead registry
+//!    entries). `--dump-telemetry` prints the extracted names instead of
+//!    checking.
 //!
 //! Prints one line per violation and exits nonzero on any.
 
@@ -119,25 +121,23 @@ fn main() -> ExitCode {
     }
 }
 
-/// The telemetry-schema gate: every emitted name must be registered, and
-/// every registered exact name must appear somewhere in non-test library
-/// code (names published through `CounterRecord` batches — the batch
-/// summary tuples, the seeded serve skeleton — count as live even though
-/// they are not call sites). Prefix families are exempt from the
-/// dead-name check (their sites are `format!` calls, not literals).
+/// The telemetry-schema gate: every emitted name must be registered as
+/// its kind, and every registered exact name must appear somewhere in
+/// non-test library code (names published through `CounterRecord`
+/// batches — the batch summary tuples, the seeded serve skeleton — count
+/// as live even though they are not call sites). Prefix families are
+/// exempt from the dead-name check (their sites are `format!` calls, not
+/// literals).
 fn check_telemetry_schema(
     emitted: &BTreeSet<(String, String)>,
     corpus: &str,
     violations: &mut Vec<String>,
 ) {
-    for (kind, name) in emitted {
-        if !names::is_registered(name) {
-            violations.push(format!(
-                "telemetry: {kind} name {name:?} is not declared in \
-                 crates/instrument/src/names.rs"
-            ));
-        }
-    }
+    violations.extend(
+        emitted
+            .iter()
+            .filter_map(|(kind, name)| kind_violation(kind, name)),
+    );
     for name in names::SPANS.iter().chain(names::COUNTERS) {
         if !corpus.contains(&format!("\"{name}\"")) {
             violations.push(format!(
@@ -145,6 +145,34 @@ fn check_telemetry_schema(
                  from crates/instrument/src/names.rs or emit it"
             ));
         }
+    }
+}
+
+/// Why one emission site breaks the schema, if it does: a `span` site's
+/// name must be in [`names::SPANS`] and a `counter` site's in
+/// [`names::COUNTERS`]. Members of a [`names::PREFIXES`] family pass as
+/// either kind.
+fn kind_violation(kind: &str, name: &str) -> Option<String> {
+    if names::PREFIXES.iter().any(|prefix| name.starts_with(prefix)) {
+        return None;
+    }
+    let (own, own_list, other, other_list) = if kind == "span" {
+        ("SPANS", names::SPANS, "COUNTERS", names::COUNTERS)
+    } else {
+        ("COUNTERS", names::COUNTERS, "SPANS", names::SPANS)
+    };
+    if own_list.contains(&name) {
+        None
+    } else if other_list.contains(&name) {
+        Some(format!(
+            "telemetry: {kind} name {name:?} is filed in {other}, but a {kind} site needs it \
+             in {own} (crates/instrument/src/names.rs)"
+        ))
+    } else {
+        Some(format!(
+            "telemetry: {kind} name {name:?} is not declared in \
+             crates/instrument/src/names.rs"
+        ))
     }
 }
 
@@ -303,4 +331,40 @@ fn has_unsafe_token(line: &str) -> bool {
 
 fn is_ident(byte: u8) -> bool {
     byte == b'_' || byte.is_ascii_alphanumeric()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_name_emitted_as_the_wrong_kind_is_rejected() {
+        let sites = telemetry_sites(
+            "let _t = span(\"fem.assemble\");\ncounter(\"fem.dofs\", 1);\n\
+             counter(\"fem.assemble\", 1);\nclock.time(\"fem.dofs\", f);\n",
+        );
+        let verdicts: Vec<_> = sites
+            .iter()
+            .map(|(kind, name)| (*kind, name.as_str(), kind_violation(kind, name)))
+            .collect();
+        assert_eq!(verdicts.len(), 4);
+        for (kind, name, verdict) in verdicts {
+            let right_kind = (kind == "span") == (name == "fem.assemble");
+            match verdict {
+                None => assert!(right_kind, "{kind} {name} passed as the wrong kind"),
+                Some(message) => {
+                    assert!(!right_kind, "{kind} {name} rejected: {message}");
+                    assert!(message.contains("is filed in"), "{message}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_names_fail_and_prefix_families_pass_as_either_kind() {
+        let unknown = kind_violation("counter", "made.up.name").expect("unregistered");
+        assert!(unknown.contains("is not declared"), "{unknown}");
+        assert_eq!(kind_violation("counter", "lint.D001"), None);
+        assert_eq!(kind_violation("span", "lint.D001"), None);
+    }
 }

@@ -5,16 +5,19 @@
 //! existed so one engineer could push many cross-section decks through
 //! idealization and contouring without hand-preparing data. This module
 //! is that workflow at machine scale: a dependency-free
-//! [`std::thread`] worker pool that runs every [`BatchJob`] through
-//! *parse → idealize → model-setup → solve → stress-recovery → contour*
-//! and returns:
+//! [`std::thread`] worker pool, the [`BatchDispatcher`], that runs every
+//! [`BatchJob`] through
+//! *parse → idealize → model-setup → solve → stress-recovery → contour*.
+//! It is the only place pipeline work runs on more than one thread:
+//! [`run_batch`] drives a whole corpus through it, and the serve layer
+//! submits one request at a time. A batch run returns:
 //!
 //! * **deterministic results** — [`BatchReport::outcomes`] is indexed by
 //!   submission order regardless of completion order, and each job's
 //!   output is bit-identical whether the pool has 1 worker or N (every
 //!   job is independent and every stage is deterministic);
-//! * **bounded memory** — jobs flow through a bounded queue
-//!   ([`BatchOptions::max_in_flight`]) so a million-deck submission
+//! * **bounded memory** — at most [`BatchOptions::max_in_flight`] jobs
+//!   are accepted and unfinished at once, so a million-deck submission
 //!   never materializes a million decoded artifacts at once;
 //! * **structured failure** — each failed job carries its
 //!   [`PipelineError`] with [`Stage`](crate::pipeline::Stage)
@@ -62,7 +65,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -238,9 +241,11 @@ impl BatchOptions {
         self
     }
 
-    /// Bounds the job queue: the submitter blocks once this many jobs
-    /// are queued but unclaimed, giving backpressure instead of unbounded
-    /// buffering. Clamped to at least the worker count.
+    /// Bounds the jobs accepted and not yet finished (queued plus
+    /// executing). [`BatchDispatcher::submit`] refuses past it, and
+    /// [`run_batch`] then blocks until a worker frees a slot —
+    /// backpressure instead of unbounded buffering. Clamped to at least
+    /// the worker count.
     pub fn max_in_flight(mut self, max_in_flight: usize) -> BatchOptions {
         self.max_in_flight = max_in_flight.max(1).max(self.workers);
         self
@@ -257,7 +262,7 @@ impl BatchOptions {
         self.workers
     }
 
-    /// The configured queue bound.
+    /// The configured in-flight bound.
     pub fn in_flight_bound(&self) -> usize {
         self.max_in_flight
     }
@@ -286,32 +291,9 @@ impl BatchOptions {
         &self.config
     }
 
-    /// Turns on audit mode for every job: each worker re-derives the
-    /// stage invariants after idealize, solve, and contour, the time
-    /// lands in `audit.*` spans of the merged [`PerfReport`], and the
-    /// check/violation totals land in the `audit.checks` /
-    /// `audit.violations` counters. Off by default.
-    #[deprecated(since = "0.3.0", note = "use `config(SessionConfig::new().audit(..))`")]
-    pub fn audit(mut self, options: AuditOptions) -> BatchOptions {
-        self.config.audit = Some(options);
-        self
-    }
-
     /// The configured audit options, if audit mode is on.
     pub fn audit_options(&self) -> Option<&AuditOptions> {
         self.config.audit_options()
-    }
-
-    /// Turns on the static lint pass for every job: each deck is
-    /// analyzed before it is parsed into the pipeline, the time lands in
-    /// the `lint.deck` span of the merged [`PerfReport`], the diagnostic
-    /// totals land in the `lint.diagnostics` / `lint.denied` counters,
-    /// and a deck with deny-severity diagnostics fails with a
-    /// [`StageError::Lint`] at deck-parse stage. Off by default.
-    #[deprecated(since = "0.3.0", note = "use `config(SessionConfig::new().lint(..))`")]
-    pub fn lint(mut self, config: LintConfig) -> BatchOptions {
-        self.config.lint = Some(config);
-        self
     }
 
     /// The configured lint severities, if lint mode is on.
@@ -319,51 +301,14 @@ impl BatchOptions {
         self.config.lint_options()
     }
 
-    /// Sets the capability mode every job's session runs under (default:
-    /// [`Capability::Historical`], the paper's Table 2 card limits).
-    /// [`Capability::LargeMesh`] lifts the limits for decks beyond the
-    /// 1970 hardware ceiling.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().capability(..))`"
-    )]
-    pub fn capability(mut self, capability: Capability) -> BatchOptions {
-        self.config.capability = capability;
-        self
-    }
-
     /// The configured capability mode.
     pub fn capability_mode(&self) -> Capability {
         self.config.capability_mode()
     }
 
-    /// Sets the solver backend every job solves with (default:
-    /// [`SolverBackend::Band`], the paper-faithful path). See
-    /// `docs/SOLVERS.md` for the selection guide.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().solver(..))`"
-    )]
-    pub fn solver(mut self, solver: SolverBackend) -> BatchOptions {
-        self.config.solver = solver;
-        self
-    }
-
     /// The configured solver backend.
     pub fn solver_backend(&self) -> SolverBackend {
         self.config.solver_backend()
-    }
-
-    /// Sets the conjugate-gradient options every job solves with when
-    /// the backend is [`SolverBackend::SparseCg`] (default:
-    /// [`CgOptions::new`]). Ignored by the direct backends.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().cg_options(..))`"
-    )]
-    pub fn cg_options(mut self, cg: CgOptions) -> BatchOptions {
-        self.config.cg = cg;
-        self
     }
 
     /// The configured conjugate-gradient options.
@@ -512,90 +457,6 @@ impl StageClock {
     }
 }
 
-/// The bounded job queue: indexes into the submitted job slice, plus the
-/// close/abort flags, under one mutex with two condvars (producer waits
-/// for space, workers wait for work).
-struct JobQueue {
-    state: Mutex<QueueState>,
-    space: Condvar,
-    ready: Condvar,
-    capacity: usize,
-}
-
-struct QueueState {
-    queue: VecDeque<usize>,
-    closed: bool,
-    aborted: bool,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> JobQueue {
-        JobQueue {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                closed: false,
-                aborted: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks until there is queue space (backpressure), then enqueues.
-    /// Returns `false` without enqueuing once the queue is aborted.
-    fn push(&self, index: usize) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.queue.len() >= self.capacity && !state.aborted {
-            state = self
-                .space
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        if state.aborted {
-            return false;
-        }
-        state.queue.push_back(index);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks until a job is available; `None` once the queue is closed
-    /// (or aborted) and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(index) = state.queue.pop_front() {
-                self.space.notify_one();
-                return Some(index);
-            }
-            if state.closed || state.aborted {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// No more jobs will be pushed; drains normally.
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Fail-fast trip: unblocks the producer and stops handing out the
-    /// jobs still queued (they are reported as skipped).
-    fn abort(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.aborted = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-}
-
 /// Runs one job through the staged pipeline, attributing wall-clock time
 /// to each stage on the worker's private clock.
 ///
@@ -712,128 +573,65 @@ fn execute(
     Ok(plots)
 }
 
-/// Runs every job through the full pipeline on a worker pool and returns
-/// the outcomes in submission order, with a merged per-stage
+/// Runs every job through the full pipeline on a [`BatchDispatcher`] and
+/// returns the outcomes in submission order, with a merged per-stage
 /// [`PerfReport`].
 ///
+/// Jobs are submitted in order. When the dispatcher is saturated
+/// ([`BatchOptions::max_in_flight`] jobs accepted and unfinished), the
+/// submitter blocks until a worker frees a slot — that is the
+/// backpressure. Under [`ErrorPolicy::FailFast`] the worker whose job
+/// fails first closes admission and resolves every queued, unstarted job
+/// [`JobOutcome::Skipped`]; jobs already running finish. A panic in a
+/// job's setup closure lets every other job finish, then resumes in the
+/// caller.
+///
 /// Multi-worker runs are bit-identical to single-worker runs: jobs are
-/// independent, every stage is deterministic, and outcome slots are
-/// indexed by submission order. Under [`ErrorPolicy::FailFast`] the set
-/// of *skipped* jobs depends on timing (jobs already claimed when the
-/// first failure lands still finish), but every non-skipped outcome is
-/// still deterministic.
+/// independent, every stage is deterministic, and outcomes are collected
+/// in submission order. Under fail-fast the set of *skipped* jobs depends
+/// on timing, but every non-skipped outcome is still deterministic.
 pub fn run_batch(jobs: &[BatchJob], options: &BatchOptions) -> BatchReport {
     let start = Instant::now();
-    let workers = options.workers.max(1).min(jobs.len().max(1));
-    let queue = JobQueue::new(options.max_in_flight);
-    let abort = AtomicBool::new(false);
+    let workers = options.workers.min(jobs.len()).max(1);
     let fail_fast = options.policy == ErrorPolicy::FailFast;
-    let slots: Vec<Mutex<Option<JobOutcome>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    let worker_reports: Mutex<Vec<PerfReport>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut clock = StageClock::new();
-                while let Some(index) = queue.pop() {
-                    if fail_fast && abort.load(Ordering::Relaxed) {
-                        // Claimed after the trip: never started.
-                        *slots[index].lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some(JobOutcome::Skipped);
-                        continue;
-                    }
-                    let outcome = match execute(&jobs[index], &mut clock, options) {
-                        Ok(plots) => JobOutcome::Completed(plots),
-                        Err(err) => {
-                            if matches!(err.source_error(), StageError::Audit(_)) {
-                                clock.count("audit.violations", 1);
-                            }
-                            if fail_fast {
-                                abort.store(true, Ordering::Relaxed);
-                                queue.abort();
-                            }
-                            JobOutcome::Failed(err)
-                        }
-                    };
-                    *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                }
-                worker_reports
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(clock.report);
-            });
-        }
-        // This thread is the submitter: the bounded push gives
-        // backpressure against the pool.
-        for index in 0..jobs.len() {
-            if fail_fast && abort.load(Ordering::Relaxed) {
-                break;
-            }
-            if !queue.push(index) {
-                break;
-            }
-        }
-        queue.close();
-    });
-
-    let outcomes: Vec<JobOutcome> = slots
+    let dispatcher = BatchDispatcher::spawn(options.clone().workers(workers), fail_fast);
+    // Only a fail-fast trip closes admission while this run owns the
+    // dispatcher; the jobs after it are never submitted.
+    let tickets: Vec<JobTicket> = jobs
+        .iter()
+        .map_while(|job| dispatcher.shared.admit(job.clone(), true).ok())
+        .collect();
+    let mut panic = None;
+    let mut outcomes: Vec<JobOutcome> = tickets
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or(JobOutcome::Skipped)
+        .map(|ticket| {
+            ticket.resolve().unwrap_or_else(|payload| {
+                panic.get_or_insert(payload);
+                JobOutcome::Skipped
+            })
         })
         .collect();
+    outcomes.resize(jobs.len(), JobOutcome::Skipped);
 
+    let mut perf = dispatcher.drain();
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
     let elapsed = start.elapsed();
-    // Seed the merged report with the canonical stage layout so the JSON
-    // is stable regardless of which worker report lands first.
-    let mut perf = PerfReport::default();
-    perf.spans.push(SpanRecord {
-        name: "batch.total".to_owned(),
-        depth: 0,
-        nanos: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-    });
-    for name in STAGE_SPANS {
-        perf.spans.push(SpanRecord {
-            name: name.to_owned(),
-            depth: 1,
-            nanos: 0,
-        });
-    }
-    if options.config.audit.is_some() {
-        for name in ["audit.idealize", "audit.solve", "audit.contour"] {
-            perf.spans.push(SpanRecord {
-                name: name.to_owned(),
-                depth: 1,
-                nanos: 0,
-            });
-        }
-        for name in ["audit.checks", "audit.violations"] {
-            perf.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: 0,
-            });
+    perf.spans.insert(
+        0,
+        SpanRecord {
+            name: "batch.total".to_owned(),
+            depth: 0,
+            nanos: elapsed.as_nanos().min(u64::MAX as u128) as u64,
+        },
+    );
+    // `drain` counts the jobs it accepted; the run counts every job.
+    for counter in &mut perf.counters {
+        if counter.name == "batch.jobs" {
+            counter.value = jobs.len() as u64;
         }
     }
-    if options.config.lint.is_some() {
-        perf.spans.push(SpanRecord {
-            name: "lint.deck".to_owned(),
-            depth: 1,
-            nanos: 0,
-        });
-        for name in ["lint.diagnostics", "lint.denied"] {
-            perf.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: 0,
-            });
-        }
-    }
-    for report in worker_reports.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        perf.merge(&report);
-    }
-
     let mut report = BatchReport {
         outcomes,
         perf,
@@ -846,22 +644,17 @@ pub fn run_batch(jobs: &[BatchJob], options: &BatchOptions) -> BatchReport {
         0
     };
     let counters = [
-        ("batch.jobs", jobs.len() as u64),
-        ("batch.completed", report.completed() as u64),
-        ("batch.failed", report.failed() as u64),
         ("batch.skipped", report.skipped() as u64),
-        ("batch.workers", workers as u64),
         // Millijobs per second: an integer counter with enough
         // resolution for slow corpora (1 job / 20 min ≈ 0.8 mJ/s).
         ("batch.jobs_per_sec_milli", jobs_per_sec_milli),
     ];
     for (name, value) in counters {
-        report.perf.counters.push(cafemio_instrument::CounterRecord {
+        report.perf.counters.push(CounterRecord {
             name: name.to_owned(),
             value,
         });
     }
-    append_cache_counters(&mut report.perf, &options.config);
     report
 }
 
@@ -910,18 +703,27 @@ pub struct JobTicket {
 
 #[derive(Debug)]
 struct TicketShared {
-    slot: Mutex<Option<JobOutcome>>,
+    /// `Err` carries the payload of a panic inside the job.
+    slot: Mutex<Option<std::thread::Result<JobOutcome>>>,
     done: Condvar,
 }
 
 impl JobTicket {
     /// Blocks until the job finishes and returns its outcome. Consumes
-    /// the ticket: one accepted job, one response.
+    /// the ticket: one accepted job, one response. A panic in the job's
+    /// setup closure resumes here.
     pub fn wait(self) -> JobOutcome {
+        self.resolve()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// Blocks until the job finishes, handing back a panic's payload
+    /// instead of resuming it.
+    fn resolve(self) -> std::thread::Result<JobOutcome> {
         let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
+            if let Some(result) = slot.take() {
+                return result;
             }
             slot = self
                 .shared
@@ -929,15 +731,6 @@ impl JobTicket {
                 .wait(slot)
                 .unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// The outcome, if the job has already finished (non-blocking).
-    pub fn try_take(&self) -> Option<JobOutcome> {
-        self.shared
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
     }
 }
 
@@ -952,8 +745,75 @@ struct DispatcherState {
 
 struct DispatcherShared {
     state: Mutex<DispatcherState>,
+    /// Wakes workers: a job was queued or admission closed.
     ready: Condvar,
+    /// Wakes a blocked [`run_batch`] submitter: a slot was freed or
+    /// admission closed.
+    freed: Condvar,
     options: BatchOptions,
+    /// Set only by [`run_batch`] under [`ErrorPolicy::FailFast`]: a
+    /// failed job's worker trips [`abort`](DispatcherShared::abort).
+    fail_fast: bool,
+}
+
+impl DispatcherShared {
+    /// Accepts the job if a slot is free. Refuses with
+    /// [`AdmissionError::Saturated`] otherwise — or, with `block`, waits
+    /// for a worker to free one.
+    fn admit(&self, job: BatchJob, block: bool) -> Result<JobTicket, AdmissionError> {
+        let capacity = self.options.max_in_flight;
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if state.closed {
+                return Err(AdmissionError::Draining);
+            }
+            if state.in_flight < capacity {
+                break;
+            }
+            if !block {
+                return Err(AdmissionError::Saturated {
+                    in_flight: state.in_flight,
+                    capacity,
+                });
+            }
+            state = self.freed.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        state.in_flight += 1;
+        state.accepted += 1;
+        let ticket = Arc::new(TicketShared {
+            slot: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        state.queue.push_back((job, Arc::clone(&ticket)));
+        self.ready.notify_one();
+        Ok(JobTicket { shared: ticket })
+    }
+
+    /// Frees one finished job's admission slot.
+    fn release(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.in_flight -= 1;
+        self.freed.notify_all();
+    }
+
+    /// Closes admission and resolves every queued, unstarted job as
+    /// [`JobOutcome::Skipped`] without running it, freeing its slot;
+    /// jobs already executing finish normally. This is [`run_batch`]'s
+    /// fail-fast trip. Serve never trips it: one caller's failure must
+    /// not cancel another's job.
+    fn abort(&self) {
+        let skipped: Vec<_> = {
+            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            state.closed = true;
+            let skipped: Vec<_> = state.queue.drain(..).collect();
+            state.in_flight -= skipped.len();
+            self.freed.notify_all();
+            skipped
+        };
+        for (_, ticket) in skipped {
+            publish(&ticket, Ok(JobOutcome::Skipped));
+        }
+    }
 }
 
 /// A cloneable submission handle onto a running [`BatchDispatcher`] —
@@ -979,30 +839,7 @@ impl BatchClient {
     /// saturated or draining. Never queues beyond
     /// [`BatchOptions::max_in_flight`].
     pub fn submit(&self, job: BatchJob) -> Result<JobTicket, AdmissionError> {
-        let capacity = self.shared.options.max_in_flight;
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if state.closed {
-            return Err(AdmissionError::Draining);
-        }
-        if state.in_flight >= capacity {
-            return Err(AdmissionError::Saturated {
-                in_flight: state.in_flight,
-                capacity,
-            });
-        }
-        state.in_flight += 1;
-        state.accepted += 1;
-        let ticket = Arc::new(TicketShared {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        state.queue.push_back((job, Arc::clone(&ticket)));
-        self.shared.ready.notify_one();
-        Ok(JobTicket { shared: ticket })
+        self.shared.admit(job, false)
     }
 
     /// Jobs accepted and not yet finished (queued + executing).
@@ -1038,23 +875,20 @@ impl BatchClient {
     }
 }
 
-/// A **persistent** batch engine: the same worker pool, error typing,
-/// and per-stage accounting as [`run_batch`], but accepting jobs one at
-/// a time for as long as the dispatcher lives — the shape a long-running
-/// service needs.
-///
-/// Differences from [`run_batch`]:
+/// The batch worker pool: accepts jobs one at a time for as long as it
+/// lives. A long-running service submits each request to it, and
+/// [`run_batch`] drives a whole corpus through one.
 ///
 /// * **admission control is non-blocking** — [`submit`](Self::submit)
-///   refuses with [`AdmissionError::Saturated`] instead of applying
-///   backpressure by blocking, so a front end can answer "try later"
-///   immediately;
+///   refuses with [`AdmissionError::Saturated`] instead of blocking, so
+///   a front end can answer "try later" immediately ([`run_batch`]
+///   instead blocks until a slot frees);
 /// * **results are per-job** — each accepted job yields a [`JobTicket`]
 ///   resolving to exactly one [`JobOutcome`];
 /// * **the error policy is ignored** — jobs are independent requests,
 ///   so [`ErrorPolicy::FailFast`] would make one caller's bad deck
-///   cancel another caller's good one. Every job runs
-///   ([`ErrorPolicy::CollectAll`] semantics).
+///   cancel another caller's good one. Every submitted job runs;
+///   only [`run_batch`] skips queued jobs after a failure.
 ///
 /// [`drain`](Self::drain) is the graceful shutdown: admission closes,
 /// every already-accepted job still runs to completion and resolves its
@@ -1111,10 +945,14 @@ impl std::fmt::Debug for BatchDispatcher {
 
 impl BatchDispatcher {
     /// Spawns the worker pool and starts accepting jobs. The
-    /// [`ErrorPolicy`] in `options` is ignored (see the type docs);
-    /// every other knob — worker count, `max_in_flight`, audit, lint,
-    /// capability, solver, CG options — behaves as in [`run_batch`].
+    /// [`ErrorPolicy`] in `options` is ignored (see the type docs); every
+    /// other knob — worker count, `max_in_flight`, and the
+    /// [`SessionConfig`] — applies to every job.
     pub fn start(options: BatchOptions) -> BatchDispatcher {
+        BatchDispatcher::spawn(options, false)
+    }
+
+    fn spawn(options: BatchOptions, fail_fast: bool) -> BatchDispatcher {
         let shared = Arc::new(DispatcherShared {
             state: Mutex::new(DispatcherState {
                 queue: VecDeque::new(),
@@ -1123,7 +961,9 @@ impl BatchDispatcher {
                 closed: false,
             }),
             ready: Condvar::new(),
+            freed: Condvar::new(),
             options,
+            fail_fast,
         });
         let workers = (0..shared.options.workers.max(1))
             .map(|_| {
@@ -1154,9 +994,11 @@ impl BatchDispatcher {
     /// Graceful shutdown: closes admission (subsequent submissions get
     /// [`AdmissionError::Draining`]), lets every accepted job run to
     /// completion and resolve its ticket, joins the workers, and returns
-    /// their merged per-stage [`PerfReport`] with the same span/counter
-    /// layout as [`run_batch`] (minus `batch.total`, which belongs to
-    /// the caller's clock).
+    /// their merged per-stage [`PerfReport`]: the stage spans,
+    /// `batch.completed`, `batch.failed`, `batch.jobs` (accepted jobs),
+    /// `batch.workers` and the `cache.*` snapshot. [`run_batch`] adds the
+    /// run-level `batch.total` span and `batch.skipped` /
+    /// `batch.jobs_per_sec_milli` counters on top.
     pub fn drain(self) -> PerfReport {
         {
             let mut state = self
@@ -1210,8 +1052,8 @@ impl BatchDispatcher {
             }
         }
         for worker in self.workers {
-            // invariant: `execute` is panic-free on user input (the PR-2
-            // guarantee), so a worker thread never dies mid-job.
+            // invariant: a worker hands a job's panic to its ticket, so
+            // the thread itself never dies mid-job.
             let report = worker.join().expect("batch worker never panics");
             perf.merge(&report);
         }
@@ -1255,7 +1097,12 @@ fn worker_loop(shared: &DispatcherShared) -> PerfReport {
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        let outcome = match execute(&job, &mut clock, &shared.options) {
+        // A panicking setup closure must not strand the job's waiter:
+        // its payload travels to the ticket and resumes there.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            execute(&job, &mut clock, &shared.options)
+        }))
+        .map(|result| match result {
             Ok(plots) => {
                 clock.count("batch.completed", 1);
                 JobOutcome::Completed(plots)
@@ -1267,19 +1114,27 @@ fn worker_loop(shared: &DispatcherShared) -> PerfReport {
                 clock.count("batch.failed", 1);
                 JobOutcome::Failed(err)
             }
-        };
+        });
+        if outcome.is_err() {
+            // Keeps `batch.jobs == batch.completed + batch.failed`.
+            clock.count("batch.failed", 1);
+        }
+        if shared.fail_fast && !matches!(outcome, Ok(JobOutcome::Completed(_))) {
+            shared.abort();
+        }
         // Free the admission slot before publishing, so a caller woken
         // by its ticket never observes its own finished job still
         // counted in flight.
-        {
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.in_flight -= 1;
-        }
-        let mut slot = ticket.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(outcome);
-        ticket.done.notify_all();
-        drop(slot);
+        shared.release();
+        publish(&ticket, outcome);
     }
+}
+
+/// Resolves one ticket and wakes its waiter.
+fn publish(ticket: &TicketShared, outcome: std::thread::Result<JobOutcome>) {
+    let mut slot = ticket.slot.lock().unwrap_or_else(|e| e.into_inner());
+    *slot = Some(outcome);
+    ticket.done.notify_all();
 }
 
 #[cfg(test)]
@@ -1402,6 +1257,100 @@ mod tests {
             report.perf.counter("batch.skipped"),
             Some(report.skipped() as u64)
         );
+    }
+
+    #[test]
+    fn fail_fast_balances_the_job_counters() {
+        for workers in [1, 2, 8] {
+            let mut jobs = plate_jobs(4);
+            jobs.insert(1, BatchJob::new("bad-deck", "    1\nTRUNCATED\n", cantilever));
+            let report = run_batch(
+                &jobs,
+                &BatchOptions::new()
+                    .workers(workers)
+                    .error_policy(ErrorPolicy::FailFast),
+            );
+            let counter = |name: &str| report.perf.counter(name).expect(name);
+            assert_eq!(counter("batch.jobs"), jobs.len() as u64, "{workers} workers");
+            assert_eq!(
+                counter("batch.completed") + counter("batch.failed") + counter("batch.skipped"),
+                jobs.len() as u64,
+                "{workers} workers"
+            );
+            assert_eq!(counter("batch.completed"), report.completed() as u64);
+            assert_eq!(counter("batch.failed"), report.failed() as u64);
+            assert_eq!(counter("batch.skipped"), report.skipped() as u64);
+            assert_eq!(counter("batch.workers"), workers.min(jobs.len()) as u64);
+            assert!(matches!(report.outcomes[0], JobOutcome::Completed(_)));
+            assert!(matches!(report.outcomes[1], JobOutcome::Failed(_)));
+        }
+    }
+
+    #[test]
+    fn fail_fast_skips_every_job_queued_behind_a_failure() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // The slow job holds one worker until the failing job has reached
+        // setup on the other, so no later job is running when it fails.
+        let (reached, on_reach) = std::sync::mpsc::channel::<()>();
+        let (reached, on_reach) = (Mutex::new(reached), Mutex::new(on_reach));
+        let slow = BatchJob::new("slow", PLATE_DECK, move |mesh| {
+            let _ = on_reach.lock().unwrap_or_else(|e| e.into_inner()).recv();
+            std::thread::sleep(Duration::from_millis(100));
+            cantilever(mesh)
+        });
+        let failing = BatchJob::new("singular", PLATE_DECK, move |mesh| {
+            let _ = reached.lock().unwrap_or_else(|e| e.into_inner()).send(());
+            unconstrained(mesh)
+        });
+        let setups = Arc::new(AtomicUsize::new(0));
+        let mut jobs = vec![slow, failing];
+        for i in 0..10 {
+            let setups = Arc::clone(&setups);
+            jobs.push(BatchJob::new(format!("later-{i}"), PLATE_DECK, move |mesh| {
+                setups.fetch_add(1, Ordering::SeqCst);
+                cantilever(mesh)
+            }));
+        }
+        let report = run_batch(
+            &jobs,
+            &BatchOptions::new()
+                .workers(2)
+                .error_policy(ErrorPolicy::FailFast),
+        );
+        assert!(matches!(report.outcomes[0], JobOutcome::Completed(_)));
+        assert!(matches!(report.outcomes[1], JobOutcome::Failed(_)));
+        assert!(report.outcomes[2..].iter().all(|o| *o == JobOutcome::Skipped));
+        assert_eq!(setups.load(Ordering::SeqCst), 0);
+        assert_eq!(report.perf.counter("batch.skipped"), Some(10));
+    }
+
+    #[test]
+    fn a_setup_panic_resumes_in_run_batch_after_the_other_jobs_finish() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = Arc::new(AtomicUsize::new(0));
+        let mut jobs: Vec<BatchJob> = (0..4)
+            .map(|i| {
+                let ran = Arc::clone(&ran);
+                BatchJob::new(format!("plate-{i}"), PLATE_DECK, move |mesh| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    cantilever(mesh)
+                })
+            })
+            .collect();
+        jobs.insert(
+            1,
+            BatchJob::new("panics", PLATE_DECK, |_: &TriMesh| -> Result<FemModel, FemError> {
+                panic!("setup bug")
+            }),
+        );
+        for workers in [1, 2] {
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_batch(&jobs, &BatchOptions::new().workers(workers))
+            }))
+            .expect_err("the setup panic resumes in the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"setup bug"));
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 8);
     }
 
     #[test]
@@ -1609,6 +1558,48 @@ mod tests {
         assert_eq!(resolved, 10);
         assert_eq!(perf.counter("batch.jobs"), Some(10));
         assert_eq!(perf.counter("batch.completed"), Some(10));
+    }
+
+    #[test]
+    fn abort_skips_queued_jobs_without_running_them() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dispatcher = BatchDispatcher::start(BatchOptions::new().workers(1).max_in_flight(4));
+        // Hold the only worker inside a setup that blocks until released,
+        // so the next three jobs stay queued.
+        let (started, on_start) = std::sync::mpsc::channel::<()>();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (started, gate) = (Mutex::new(started), Mutex::new(gate));
+        let held = dispatcher
+            .submit(BatchJob::new("held", PLATE_DECK, move |mesh| {
+                let _ = started.lock().unwrap_or_else(|e| e.into_inner()).send(());
+                let _ = gate.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                cantilever(mesh)
+            }))
+            .expect("held job admitted");
+        on_start.recv().expect("the worker starts the held job");
+        let setups = Arc::new(AtomicUsize::new(0));
+        let queued: Vec<JobTicket> = (0..3)
+            .map(|i| {
+                let setups = Arc::clone(&setups);
+                let job = BatchJob::new(format!("queued-{i}"), PLATE_DECK, move |mesh| {
+                    setups.fetch_add(1, Ordering::SeqCst);
+                    cantilever(mesh)
+                });
+                dispatcher.submit(job).expect("queued job admitted")
+            })
+            .collect();
+        assert_eq!(dispatcher.in_flight(), 4);
+        dispatcher.shared.abort();
+        assert_eq!(dispatcher.in_flight(), 1);
+        for ticket in queued {
+            assert_eq!(ticket.wait(), JobOutcome::Skipped);
+        }
+        release.send(()).expect("the held job is waiting");
+        assert!(held.wait().plots().is_some());
+        let perf = dispatcher.drain();
+        assert_eq!(setups.load(Ordering::SeqCst), 0);
+        assert_eq!(perf.counter("batch.completed"), Some(1));
+        assert_eq!(perf.counter("batch.failed"), Some(0));
     }
 
     #[test]

@@ -26,23 +26,18 @@
 //! can attribute failures without parsing messages. The staged artifacts
 //! are exactly the units of work the [`batch`](crate::batch) engine
 //! schedules.
-//!
-//! The original free functions ([`run_deck`], [`idealize_deck_text`],
-//! [`solve_and_contour`]) survive as thin deprecated wrappers with
-//! golden-identical results.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use cafemio_audit::{AuditError, AuditOptions, AuditStage};
+use cafemio_audit::{AuditError, AuditStage};
 use cafemio_cache::{CacheKey, CacheStage, StableHasher, StageCache};
 use cafemio_cards::{CardError, Deck};
-use cafemio_fem::{AnalysisKind, CgOptions, FemError, FemModel, Solution, SolverBackend, StressField};
+use cafemio_fem::{AnalysisKind, FemError, FemModel, Solution, SolverBackend, StressField};
 use cafemio_idlz::{
-    Capability, Idealization, IdealizationResult, IdealizationSpec, IdlzError,
-    IncrementalIdealizer,
+    Idealization, IdealizationResult, IdealizationSpec, IdlzError, IncrementalIdealizer,
 };
-use cafemio_lint::{LintConfig, LintError, LintReport};
+use cafemio_lint::{LintError, LintReport};
 use cafemio_mesh::{FieldProbe, NodalField, ProbeError, TriMesh};
 use cafemio_ospl::{ContourOptions, Ospl, OsplError, OsplResult};
 
@@ -362,68 +357,6 @@ impl PipelineBuilder {
         &self.config.shared
     }
 
-    /// Turns on audit mode: after every stage transition the session
-    /// re-derives that stage's invariants (see [`cafemio_audit`]) and
-    /// fails with a [`StageError::Audit`] attributed to the stage whose
-    /// promise broke. Off by default — the hot path pays nothing.
-    #[deprecated(since = "0.3.0", note = "use `config(SessionConfig::new().audit(..))`")]
-    pub fn audit(mut self, options: AuditOptions) -> PipelineBuilder {
-        self.config.shared.audit = Some(options);
-        self
-    }
-
-    /// Turns on the static lint pass: [`parse`](PipelineBuilder::parse)
-    /// analyzes the deck before idealization (and
-    /// [`specs`](PipelineBuilder::specs) entry points are linted at
-    /// [`ParsedDeck::idealize`]), failing the [`Stage::DeckParse`]
-    /// transition with a [`StageError::Lint`] when any diagnostic reaches
-    /// deny severity under `config`. Off by default.
-    #[deprecated(since = "0.3.0", note = "use `config(SessionConfig::new().lint(..))`")]
-    pub fn lint(mut self, config: LintConfig) -> PipelineBuilder {
-        self.config.shared.lint = Some(config);
-        self
-    }
-
-    /// Sets the session's capacity regime. The default,
-    /// [`Capability::Historical`], enforces the Table-2 card limits;
-    /// [`Capability::LargeMesh`] lifts them on every spec entering the
-    /// session — pair it with [`SolverBackend::SparseCg`] for meshes
-    /// past the 1970 scale (see `docs/SOLVERS.md`).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().capability(..))`"
-    )]
-    pub fn capability(mut self, capability: Capability) -> PipelineBuilder {
-        self.config.shared.capability = capability;
-        self
-    }
-
-    /// Selects the linear solver backend [`ModelReady::solve`] routes
-    /// through. The default, [`SolverBackend::Band`], is
-    /// behavior-identical to the historical API; use
-    /// [`SolverBackend::SparseCg`] for large meshes.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().solver(..))`"
-    )]
-    pub fn solver(mut self, solver: SolverBackend) -> PipelineBuilder {
-        self.config.shared.solver = solver;
-        self
-    }
-
-    /// Sets the conjugate-gradient options the session solves with when
-    /// the backend is [`SolverBackend::SparseCg`] (default:
-    /// [`CgOptions::new`] — 1e-12 relative residual, order-scaled
-    /// iteration budget). Ignored by the direct backends.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `config(SessionConfig::new().cg_options(..))`"
-    )]
-    pub fn cg_options(mut self, cg: CgOptions) -> PipelineBuilder {
-        self.config.shared.cg = cg;
-        self
-    }
-
     /// Parses an IDLZ card deck from raw text into a [`ParsedDeck`].
     ///
     /// # Errors
@@ -710,7 +643,7 @@ impl ModelReady {
 
     /// Assembles and solves every model with the session's
     /// [`SolverBackend`] (band by default — see
-    /// [`PipelineBuilder::solver`]).
+    /// [`SessionConfig::solver`]).
     ///
     /// # Errors
     ///
@@ -1012,92 +945,6 @@ impl Recovered {
         }
         Ok(plots)
     }
-}
-
-/// Solves a structural model, recovers the requested stress component at
-/// the nodes, and contours it.
-///
-/// # Errors
-///
-/// A [`PipelineError`] attributed to [`Stage::Solve`],
-/// [`Stage::StressRecovery`], or [`Stage::Contour`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the staged session API: `PipelineBuilder::new().model(..).solve()?.recover()?.contour_with(..)`"
-)]
-pub fn solve_and_contour(
-    model: &FemModel,
-    component: StressComponent,
-    options: &ContourOptions,
-) -> Result<StressPlot, PipelineError> {
-    let _span = cafemio_instrument::span("pipeline.solve_and_contour");
-    let plots = PipelineBuilder::new()
-        .model(model.clone())
-        .solve()?
-        .recover()?
-        .contour_with(component, options)?;
-    // invariant: one model in, one plot out.
-    Ok(plots.into_iter().next().expect("one plot per model"))
-}
-
-/// Parses an IDLZ card deck from raw text and idealizes every data set,
-/// returning each spec with its finished idealization.
-///
-/// # Errors
-///
-/// A [`PipelineError`] attributed to [`Stage::DeckParse`] (card layer or
-/// deck structure) or [`Stage::Idealize`] (shaping, limits, mesh).
-#[deprecated(
-    since = "0.2.0",
-    note = "use the staged session API: `PipelineBuilder::new().parse(text)?.idealize()?`"
-)]
-pub fn idealize_deck_text(
-    text: &str,
-) -> Result<Vec<(IdealizationSpec, IdealizationResult)>, PipelineError> {
-    let idealized = PipelineBuilder::new().parse(text)?.idealize()?;
-    Ok(idealized
-        .into_sets()
-        .into_iter()
-        .map(|set| (set.spec, set.result))
-        .collect())
-}
-
-/// Runs the full paper workflow from deck text: parse, idealize, build a
-/// model with the caller's `setup` closure, solve, recover stresses, and
-/// contour the requested component — one [`StressPlot`] per data set.
-///
-/// The `setup` closure is where boundary conditions and loads are
-/// applied; an error it returns is attributed to [`Stage::ModelSetup`].
-///
-/// # Errors
-///
-/// A [`PipelineError`] attributed to whichever stage failed first.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the staged session API: `PipelineBuilder::new().parse(text)?.idealize()?.setup(..)?.solve()?.recover()?.contour()?`"
-)]
-#[allow(deprecated)]
-pub fn run_deck<F>(
-    text: &str,
-    mut setup: F,
-    component: StressComponent,
-    options: &ContourOptions,
-) -> Result<Vec<StressPlot>, PipelineError>
-where
-    F: FnMut(&TriMesh) -> Result<FemModel, FemError>,
-{
-    let idealized = PipelineBuilder::new().parse(text)?.idealize()?;
-    // Data sets are processed one at a time, like the original driver:
-    // set N is solved and plotted before set N+1's model is built.
-    idealized
-        .sets()
-        .iter()
-        .map(|set| {
-            let model = setup(&set.result.mesh)
-                .map_err(|e| PipelineError::at(Stage::ModelSetup, StageError::Fem(e)))?;
-            solve_and_contour(&model, component, options)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -604,11 +604,9 @@ impl FemModel {
     /// Runs the element loop, reporting every global `(i, j, k_ij)` triple
     /// (both orderings) to `sink`.
     ///
-    /// The per-element stiffness matrices are computed in parallel (they
-    /// are independent), but `sink` always receives contributions serially
-    /// in element order — the same floating-point accumulation order as a
-    /// plain loop, so assembly stays bit-for-bit deterministic regardless
-    /// of the thread count.
+    /// Every element stiffness matrix is computed first, then scattered
+    /// to `sink` in element order, so the two phases time separately and
+    /// the floating-point accumulation order is fixed.
     fn assemble_into<F: FnMut(usize, usize, f64)>(&self, mut sink: F) -> Result<(), FemError> {
         let elements: Vec<(ElementId, [usize; 6])> = self
             .mesh
@@ -623,11 +621,14 @@ impl FemModel {
             })
             .collect();
         let _span = cafemio_instrument::span("fem.element_stiffness");
-        let computed = cafemio_instrument::par::parallel_map(&elements, |&(id, _)| {
-            let material = self.element_material(id);
-            let d = self.d_matrix(&material)?;
-            element_stiffness(&self.mesh.triangle(id), &d, self.kind)
-        });
+        let computed: Vec<_> = elements
+            .iter()
+            .map(|&(id, _)| {
+                let material = self.element_material(id);
+                let d = self.d_matrix(&material)?;
+                element_stiffness(&self.mesh.triangle(id), &d, self.kind)
+            })
+            .collect();
         drop(_span);
         let _span = cafemio_instrument::span("fem.scatter");
         for ((id, dofs), matrices) in elements.iter().zip(computed) {

@@ -99,18 +99,11 @@ impl Idealization {
 
         // ---- Assign nodal numbers: left to right, bottom to top. ----
         let grid_span = cafemio_instrument::span("idlz.grid");
-        // Per-subdivision point and element generation is independent,
-        // so it fans out one task per subdivision; the merge below runs
-        // serially in subdivision order, keeping results bit-identical
-        // to the old single-threaded loop at any thread count.
-        let per_sub: Vec<SubGrid> =
-            cafemio_instrument::par::parallel_map_grained(spec.subdivisions(), 1, |s| {
-                (s.grid_points(), s.grid_elements())
-            });
-        cafemio_instrument::counter(
-            "idealize.parallel.subdivisions",
-            spec.subdivisions().len() as u64,
-        );
+        let per_sub: Vec<SubGrid> = spec
+            .subdivisions()
+            .iter()
+            .map(|s| (s.grid_points(), s.grid_elements()))
+            .collect();
         assemble(spec, &per_sub, grid_span)
     }
 }

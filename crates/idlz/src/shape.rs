@@ -82,7 +82,6 @@ pub(crate) fn shape_nodes(
 ) -> Result<Vec<Point>, IdlzError> {
     let mut located: Vec<Option<Point>> = vec![None; node_count];
 
-    let mut strips_total = 0usize;
     for sub in subdivisions {
         // 1. Apply this subdivision's shape lines.
         if let Some(sub_lines) = lines.get(&sub.id()) {
@@ -92,9 +91,8 @@ pub(crate) fn shape_nodes(
         }
 
         // 2. Interpolate the rest of the subdivision's nodes.
-        strips_total += interpolate_subdivision(sub, node_index, &mut located)?;
+        interpolate_subdivision(sub, node_index, &mut located)?;
     }
-    cafemio_instrument::counter("idealize.parallel.strips", strips_total as u64);
 
     located
         .into_iter()
@@ -165,25 +163,14 @@ fn side_run(
     })
 }
 
-/// Below this many strips per worker a thread spawn costs more than the
-/// per-strip interpolation it buys.
-const STRIP_GRAIN: usize = 8;
-
 /// Fills every still-unlocated node of the subdivision by linear
-/// interpolation between a located pair of opposite sides, returning the
-/// number of strips processed (the `idealize.parallel.strips` counter).
-///
-/// Strips are independent given the located sides, so their updates are
-/// computed in parallel ([`parallel_map_grained`] keeps strip order) and
-/// applied serially first-write-wins — exactly the serial loop's
-/// behavior, bit for bit, at any thread count.
-///
-/// [`parallel_map_grained`]: cafemio_instrument::par::parallel_map_grained
+/// interpolation between a located pair of opposite sides. Strips run in
+/// order and never overwrite a node an earlier strip located.
 fn interpolate_subdivision(
     sub: &Subdivision,
     node_index: &BTreeMap<GridPoint, usize>,
     located: &mut [Option<Point>],
-) -> Result<usize, IdlzError> {
+) -> Result<(), IdlzError> {
     let strips = sub.strips();
     let is_located = |pts: &[GridPoint], located: &[Option<Point>]| {
         pts.iter().all(|p| located[node_index[p]].is_some())
@@ -202,38 +189,25 @@ fn interpolate_subdivision(
     if ends_located {
         // Each strip becomes a straight line between its end nodes —
         // "two opposite sides in every subdivision will be straight
-        // lines". Strips only read their own (pre-located) end nodes, so
-        // the per-strip updates are computed in parallel.
-        let updates: Vec<Vec<(usize, Point)>> = cafemio_instrument::par::parallel_map_grained(
-            &strips,
-            STRIP_GRAIN,
-            |strip| {
-                // invariant: both strip ends are Some (the
-                // `ends_located` check above), and strips are never
-                // empty.
-                let first = located[node_index[&strip[0]]].expect("ends located");
-                // invariant: strips are never empty and their ends are
-                // located (checked above).
-                let last = located[node_index[strip.last().expect("non-empty strip")]]
-                    .expect("ends located");
-                let m = strip.len();
-                strip
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, grid)| {
-                        let idx = node_index[grid];
-                        if located[idx].is_none() {
-                            let t = if m > 1 { j as f64 / (m - 1) as f64 } else { 0.5 };
-                            Some((idx, lerp_point(first, last, t)))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            },
-        );
-        apply_updates(located, updates);
-        Ok(strips.len())
+        // lines".
+        for strip in &strips {
+            // invariant: both strip ends are Some (the `ends_located`
+            // check above), and strips are never empty.
+            let first = located[node_index[&strip[0]]].expect("ends located");
+            // invariant: strips are never empty and their ends are
+            // located (checked above).
+            let last = located[node_index[strip.last().expect("non-empty strip")]]
+                .expect("ends located");
+            let m = strip.len();
+            for (j, grid) in strip.iter().enumerate() {
+                let idx = node_index[grid];
+                if located[idx].is_none() {
+                    let t = if m > 1 { j as f64 / (m - 1) as f64 } else { 0.5 };
+                    located[idx] = Some(lerp_point(first, last, t));
+                }
+            }
+        }
+        Ok(())
     } else if parallel_located {
         // Interpolate between the two parallel sides by fractional
         // position: strips of different lengths (trapezoids) map node j of
@@ -244,47 +218,24 @@ fn interpolate_subdivision(
         let side_a: Vec<Point> = sub.side_nodes(par_a).iter().map(locate).collect();
         let side_b: Vec<Point> = sub.side_nodes(par_b).iter().map(locate).collect();
         let nstrips = strips.len();
-        let indexed: Vec<(usize, &Vec<GridPoint>)> = strips.iter().enumerate().collect();
-        let updates: Vec<Vec<(usize, Point)>> = cafemio_instrument::par::parallel_map_grained(
-            &indexed,
-            STRIP_GRAIN,
-            |&(r, strip)| {
-                let s = r as f64 / (nstrips - 1) as f64;
-                let m = strip.len();
-                strip
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, grid)| {
-                        let idx = node_index[grid];
-                        if located[idx].is_none() {
-                            let t = if m > 1 { j as f64 / (m - 1) as f64 } else { 0.5 };
-                            let a = polyline_at(&side_a, t);
-                            let b = polyline_at(&side_b, t);
-                            Some((idx, lerp_point(a, b, s)))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            },
-        );
-        apply_updates(located, updates);
-        Ok(strips.len())
+        for (r, strip) in strips.iter().enumerate() {
+            let s = r as f64 / (nstrips - 1) as f64;
+            let m = strip.len();
+            for (j, grid) in strip.iter().enumerate() {
+                let idx = node_index[grid];
+                if located[idx].is_none() {
+                    let t = if m > 1 { j as f64 / (m - 1) as f64 } else { 0.5 };
+                    let a = polyline_at(&side_a, t);
+                    let b = polyline_at(&side_b, t);
+                    located[idx] = Some(lerp_point(a, b, s));
+                }
+            }
+        }
+        Ok(())
     } else {
         Err(IdlzError::SidesNotLocated {
             subdivision: sub.id(),
         })
-    }
-}
-
-/// Applies per-strip interpolation updates serially in strip order,
-/// first write wins — the same outcome as the serial loop, which skipped
-/// nodes already located by an earlier strip.
-fn apply_updates(located: &mut [Option<Point>], updates: Vec<Vec<(usize, Point)>>) {
-    for (idx, position) in updates.into_iter().flatten() {
-        if located[idx].is_none() {
-            located[idx] = Some(position);
-        }
     }
 }
 

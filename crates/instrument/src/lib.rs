@@ -1,7 +1,6 @@
 //! # cafemio-instrument
 //!
-//! Stage-level observability for the cafemio pipeline, plus the
-//! deterministic parallelism helper the hot paths share.
+//! Stage-level observability for the cafemio pipeline.
 //!
 //! The paper's programs ran as overnight batch jobs where the only
 //! "profile" was the operator's wall clock. Growing the reproduction into
@@ -36,19 +35,16 @@
 //! assert_eq!(report, back);
 //! ```
 //!
-//! The [`par`] module hosts [`par::parallel_map`], an ordered,
-//! deterministic fork/join map over slices built on [`std::thread::scope`]
-//! — no external dependency — used by `cafemio-fem` (per-element stiffness
-//! computation) and `cafemio-ospl` (per-level isogram extraction). Its
-//! output is *bit-identical* to the serial path because results are
-//! concatenated in input order and every reduction stays serial.
+//! Spans and counters are recorded from whichever thread runs the
+//! pipeline. Pipeline kernels are serial; decks run concurrently only on
+//! the batch dispatcher's workers and the serve layer's connection
+//! threads, so one deck's telemetry never fans out across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod json;
 pub mod names;
-pub mod par;
 mod report;
 mod span;
 

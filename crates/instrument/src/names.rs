@@ -4,10 +4,12 @@
 //! `srclint` extracts every name literal passed to an emission site
 //! (`span("..")`, `counter("..")`, and the request-clock `.time("..")` /
 //! `.count("..")` methods) from non-test library code and checks it
-//! against this registry — an unregistered name fails CI, and so does a
-//! registered name nothing emits. The registry is therefore the single
-//! place a new telemetry name is minted, and dashboards built on these
-//! names cannot silently rot when a span is renamed or dropped.
+//! against this registry by kind — a span site's name must be in
+//! [`SPANS`] and a counter site's in [`COUNTERS`]. An unregistered or
+//! wrongly filed name fails CI, and so does a registered name nothing
+//! emits. The registry is therefore the single place a new telemetry
+//! name is minted, and dashboards built on these names cannot silently
+//! rot when a span is renamed or dropped.
 //!
 //! Names constructed at runtime (the per-code `lint.<CODE>` counters)
 //! are covered by [`PREFIXES`] instead of exact entries; prefix families
@@ -16,7 +18,6 @@
 
 /// Every span name emitted by an exact-name site, sorted.
 pub const SPANS: &[&str] = &[
-    "audit.checks",
     "audit.contour",
     "audit.differential",
     "audit.divergence_sweep",
@@ -40,7 +41,7 @@ pub const SPANS: &[&str] = &[
     "fem.solve_skyline",
     "fem.solve_sparse",
     "fem.stress_recovery",
-    "idealize.parallel.strips",
+    "idlz.grid",
     "idlz.plot",
     "idlz.reform",
     "idlz.renumber",
@@ -48,6 +49,8 @@ pub const SPANS: &[&str] = &[
     "idlz.shape",
     "lint.deck",
     "ospl.contour_bench",
+    "ospl.interval",
+    "ospl.isograms",
     "ospl.plot",
     "ospl.run",
     "pipeline.contour",
@@ -55,7 +58,6 @@ pub const SPANS: &[&str] = &[
     "pipeline.model_setup",
     "pipeline.parse",
     "pipeline.solve",
-    "pipeline.solve_and_contour",
     "pipeline.stress_recovery",
     "pipeline.total",
     "serve.accept",
@@ -66,6 +68,7 @@ pub const SPANS: &[&str] = &[
 
 /// Every counter name emitted by an exact-name site, sorted.
 pub const COUNTERS: &[&str] = &[
+    "audit.checks",
     "audit.solver_divergence_checks",
     "audit.solver_divergence_failures",
     "audit.solver_divergence_max_femto",
@@ -87,11 +90,9 @@ pub const COUNTERS: &[&str] = &[
     "fem.cg.residual_femto",
     "fem.dof_bandwidth",
     "fem.dofs",
-    "idealize.parallel.subdivisions",
     "idlz.bandwidth_after",
     "idlz.bandwidth_before",
     "idlz.elements",
-    "idlz.grid",
     "idlz.incremental.regenerated_subdivisions",
     "idlz.incremental.reused_subdivisions",
     "idlz.nodes",
@@ -104,8 +105,6 @@ pub const COUNTERS: &[&str] = &[
     "ospl.contour_parity_mismatches",
     "ospl.contour_speedup_floor_milli",
     "ospl.contour_speedup_milli",
-    "ospl.interval",
-    "ospl.isograms",
     "ospl.levels",
     "ospl.segments",
     "serve.completed",
@@ -125,14 +124,6 @@ pub const PREFIXES: &[&str] = &[
     "lint.",
 ];
 
-/// True when `name` is a declared telemetry name: an exact [`SPANS`] /
-/// [`COUNTERS`] entry, or a member of a [`PREFIXES`] family.
-pub fn is_registered(name: &str) -> bool {
-    SPANS.contains(&name)
-        || COUNTERS.contains(&name)
-        || PREFIXES.iter().any(|prefix| name.starts_with(prefix))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +135,10 @@ mod tests {
                 assert!(pair[0] < pair[1], "{} >= {}", pair[0], pair[1]);
             }
         }
-    }
-
-    #[test]
-    fn prefix_families_resolve() {
-        assert!(is_registered("lint.D001"));
-        assert!(is_registered("pipeline.total"));
-        assert!(is_registered("serve.requests"));
-        assert!(!is_registered("made.up.name"));
+        // A name filed as both kinds would pass `srclint`'s kind rule
+        // either way.
+        for name in SPANS {
+            assert!(!COUNTERS.contains(name), "{name} is both a span and a counter");
+        }
     }
 }

@@ -196,20 +196,17 @@ pub fn extract_isograms(
             })
             .collect::<Vec<_>>(),
     );
-    // Grain 2: one level already sweeps its candidate set, so even a
-    // handful of levels are worth fanning out.
-    Ok(cafemio_instrument::par::parallel_map_grained(
-        levels,
-        2,
-        |&level| Isogram {
+    Ok(levels
+        .iter()
+        .map(|&level| Isogram {
             level,
             segments: trace_level_over(
                 &elements,
                 index.stabbing(Point::new(level, 0.0)).into_iter(),
                 level,
             ),
-        },
-    ))
+        })
+        .collect())
 }
 
 /// The brute-force definition of [`extract_isograms`]: every level scans

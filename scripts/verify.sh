@@ -24,7 +24,8 @@
 #   serve   deck service under concurrent load + BENCH_serve.json
 #   cache   edit-replay stage-cache bench (warm ≡ cold) + BENCH_cache.json
 #   perf    the benchmark, built as BENCHMARK.json builds it (own lockfile,
-#           --locked --offline), one traced large_plate run that must
+#           --locked --offline); every workload BENCHMARK.json names runs
+#           for 1 s untraced and 1 s traced, and every result line must
 #           report "correct": true and "failed": 0
 #
 # Every bench-producing stage finishes by running the consolidated
@@ -112,18 +113,31 @@ run_serve() {
 }
 
 run_perf() {
-  echo "== perf (the benchmark built from its own lockfile + one traced large_plate run)"
-  local log=target/perf_smoke.log
-  mkdir -p target
-  cargo run --release --locked --offline --quiet \
-    --manifest-path crates/bench/src/bin/perf/Cargo.toml -- \
-    --workload large_plate --seconds 1 --trace 1 | tee "$log"
-  local result
-  result=$(tail -n 1 "$log")
-  if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
-    echo "perf: the result line must report \"correct\": true and \"failed\": 0" >&2
+  echo "== perf (the benchmark from its own lockfile: every workload, untraced and traced)"
+  local perf=(cargo run --release --locked --offline --quiet
+    --manifest-path crates/bench/src/bin/perf/Cargo.toml --)
+  # One workload per line inside BENCHMARK.json's "workloads" array.
+  local workloads
+  workloads=$(sed -n '/"workloads"/,/\]/s/.*{"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)
+  if [[ -z "$workloads" ]]; then
+    echo "perf: BENCHMARK.json names no workloads" >&2
     exit 1
   fi
+  local log=target/perf_smoke.log
+  mkdir -p target
+  : > "$log"
+  local workload trace result
+  for workload in $workloads; do
+    for trace in 0 1; do
+      result=$("${perf[@]}" --workload "$workload" --seconds 1 --trace "$trace" \
+        | tee -a "$log" | tail -n 1)
+      echo "$result"
+      if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+        echo "perf: $workload (trace $trace) must report \"correct\": true and \"failed\": 0" >&2
+        exit 1
+      fi
+    done
+  done
 }
 
 run_cache() {

@@ -171,7 +171,7 @@ fn golden_arc_past_quarter_turn() {
 #[test]
 fn golden_singular_stiffness_matrix() {
     use cafemio::pipeline::{PipelineError, Stage, StageError};
-    // Factorization failure, as `solve_and_contour` wraps it.
+    // Factorization failure, as `ModelReady::solve` reports it.
     let err = PipelineError::at(
         Stage::Solve,
         StageError::Fem(FemError::SingularMatrix { equation: 42 }),

@@ -5,12 +5,13 @@
 //!    severity, and nothing else fires on that deck.
 //! 2. **Catalog cleanliness** — every catalog model (as a spec and as a
 //!    round-tripped deck) lints clean at default severity.
-//! 3. **Pipeline wiring** — `PipelineBuilder::lint` denies bad decks at
+//! 3. **Pipeline wiring** — `SessionConfig::lint` denies bad decks at
 //!    `Stage::DeckParse` with the typed diagnostics attached, keeps
 //!    warn-level reports available on the parsed deck, and respects
 //!    severity overrides.
-//! 4. **Batch wiring** — `BatchOptions::lint` fails bad jobs with the
-//!    same stage attribution and seeds the `lint.*` observability names.
+//! 4. **Batch wiring** — the same lint config on `BatchOptions::config`
+//!    fails bad jobs with the same stage attribution and seeds the
+//!    `lint.*` observability names.
 
 use cafemio::batch::{run_batch, BatchJob, BatchOptions, ErrorPolicy, JobOutcome};
 use cafemio::lint::{
