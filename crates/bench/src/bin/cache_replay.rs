@@ -60,18 +60,6 @@ fn p50_micros(samples: &mut [u64]) -> u64 {
     (samples[samples.len() / 2] / 1_000).max(1)
 }
 
-/// Sets a counter, replacing any value merged in from the instrumented
-/// runs.
-fn set_counter(report: &mut PerfReport, name: &str, value: u64) {
-    match report.counters.iter_mut().find(|c| c.name == name) {
-        Some(existing) => existing.value = value,
-        None => report.counters.push(cafemio::instrument::CounterRecord {
-            name: name.to_owned(),
-            value,
-        }),
-    }
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
     let mut args = std::env::args().skip(1);
     let reps: usize = match args.next() {
@@ -120,11 +108,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
         // One instrumented warm replay per deck: the span ledger proves
         // the solver never ran, and its counters fold into the artifact.
-        cafemio::instrument::set_enabled(true);
-        let _ = cafemio::instrument::take_report();
-        let warm = run(&config, text).map_err(|e| format!("{name}: warm run failed: {e}"))?;
-        let instrumented = cafemio::instrument::take_report();
-        cafemio::instrument::set_enabled(false);
+        let (warm, instrumented) = cafemio::instrument::record(|| run(&config, text));
+        let warm = warm.map_err(|e| format!("{name}: warm run failed: {e}"))?;
         if format!("{warm:?}") != golden {
             mismatches += 1;
         }
@@ -153,18 +138,18 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // The merged instrument counters carry per-deck last values; replace
     // the cache totals with the aggregated store snapshots.
-    set_counter(&mut report, "cache.hits", hits);
-    set_counter(&mut report, "cache.misses", misses);
-    set_counter(&mut report, "cache.evictions", evictions);
-    set_counter(&mut report, "cache.bytes", bytes);
-    set_counter(&mut report, "cache.entries", entries);
-    set_counter(&mut report, "cache.replay_decks", decks.len() as u64);
-    set_counter(&mut report, "cache.replay_mismatches", mismatches);
-    set_counter(&mut report, "cache.warm_fem_spans", warm_fem_spans);
-    set_counter(&mut report, "cache.cold_p50_micros", cold_p50);
-    set_counter(&mut report, "cache.warm_p50_micros", warm_p50);
-    set_counter(&mut report, "cache.speedup_milli", speedup_milli);
-    set_counter(&mut report, "cache.speedup_floor_milli", SPEEDUP_FLOOR_MILLI);
+    report.set_counter("cache.hits", hits);
+    report.set_counter("cache.misses", misses);
+    report.set_counter("cache.evictions", evictions);
+    report.set_counter("cache.bytes", bytes);
+    report.set_counter("cache.entries", entries);
+    report.set_counter("cache.replay_decks", decks.len() as u64);
+    report.set_counter("cache.replay_mismatches", mismatches);
+    report.set_counter("cache.warm_fem_spans", warm_fem_spans);
+    report.set_counter("cache.cold_p50_micros", cold_p50);
+    report.set_counter("cache.warm_p50_micros", warm_p50);
+    report.set_counter("cache.speedup_milli", speedup_milli);
+    report.set_counter("cache.speedup_floor_milli", SPEEDUP_FLOOR_MILLI);
 
     std::fs::write("BENCH_cache.json", report.to_json())?;
     println!(

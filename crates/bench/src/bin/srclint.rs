@@ -20,9 +20,9 @@
 //!    `#![forbid(unsafe_code)]`.
 //! 4. **Telemetry schema** — every span/counter name literal at an
 //!    emission site in non-test library code must be declared in
-//!    `cafemio::instrument::names` as its kind: a `span("..")` /
-//!    `.time("..")` name in `SPANS`, a `counter("..")` / `.count("..")`
-//!    name in `COUNTERS` (prefix families are exempt). Every declared
+//!    `cafemio::instrument::names` as its kind: a `span("..")` name in
+//!    `SPANS`, a `counter("..")` / `add("..")` name in `COUNTERS`
+//!    (prefix families are exempt). Every declared
 //!    exact name must have at least one emission site (no dead registry
 //!    entries). `--dump-telemetry` prints the extracted names instead of
 //!    checking.
@@ -192,33 +192,29 @@ fn non_test_code(text: &str) -> String {
 }
 
 /// Extracts `(kind, name)` for every telemetry emission site in
-/// already-stripped source. Sites are the free functions `span("..")` /
-/// `counter("..")` (not preceded by `.` — accessor reads like
-/// `report.counter("..")` are not emissions) and the clock methods
-/// `.time("..")` / `.count("..")`. The name literal may sit on the next
-/// line (rustfmt wraps long calls), so matching runs over the joined
-/// source, not per line.
+/// already-stripped source. Sites are the free functions `span("..")`,
+/// `counter("..")` and `add("..")`, not preceded by `.` — accessor reads
+/// like `report.counter("..")` are not emissions. The name literal may
+/// sit on the next line (rustfmt wraps long calls), so matching runs
+/// over the joined source, not per line.
 fn telemetry_sites(code: &str) -> Vec<(&'static str, String)> {
     let mut sites = Vec::new();
-    for (marker, kind, method) in [
-        ("span(", "span", false),
-        ("counter(", "counter", false),
-        (".time(", "span", true),
-        (".count(", "counter", true),
+    for (marker, kind) in [
+        ("span(", "span"),
+        ("counter(", "counter"),
+        ("add(", "counter"),
     ] {
         let bytes = code.as_bytes();
         let mut from = 0;
         while let Some(at) = code[from..].find(marker) {
             let start = from + at;
             from = start + marker.len();
-            if !method {
-                // Reject `.counter(` accessor reads and identifier tails
-                // like `active_spans(`.
-                if start > 0 {
-                    let before = bytes[start - 1];
-                    if before == b'.' || before == b'_' || before.is_ascii_alphanumeric() {
-                        continue;
-                    }
+            // Reject `.counter(` accessor reads and identifier tails like
+            // `active_spans(` or `saturating_add(`.
+            if start > 0 {
+                let before = bytes[start - 1];
+                if before == b'.' || before == b'_' || before.is_ascii_alphanumeric() {
+                    continue;
                 }
             }
             let rest = code[start + marker.len()..].trim_start();
@@ -341,13 +337,15 @@ mod tests {
     fn a_name_emitted_as_the_wrong_kind_is_rejected() {
         let sites = telemetry_sites(
             "let _t = span(\"fem.assemble\");\ncounter(\"fem.dofs\", 1);\n\
-             counter(\"fem.assemble\", 1);\nclock.time(\"fem.dofs\", f);\n",
+             counter(\"fem.assemble\", 1);\nadd(\"fem.assemble\", 1);\n\
+             add(\n    \"fem.dofs\",\n    2,\n);\nreport.counter(\"fem.dofs\");\n\
+             total.saturating_add(\"fem.dofs\");\n",
         );
         let verdicts: Vec<_> = sites
             .iter()
             .map(|(kind, name)| (*kind, name.as_str(), kind_violation(kind, name)))
             .collect();
-        assert_eq!(verdicts.len(), 4);
+        assert_eq!(verdicts.len(), 5);
         for (kind, name, verdict) in verdicts {
             let right_kind = (kind == "span") == (name == "fem.assemble");
             match verdict {

@@ -8,6 +8,8 @@
 
 use cafemio::batch::BatchJob;
 use cafemio::fem::{AnalysisKind, FemError, FemModel, Material};
+use cafemio::geom::Point;
+use cafemio::idlz::{IdealizationSpec, ShapeLine, Subdivision};
 use cafemio::mesh::TriMesh;
 use cafemio::pipeline::Stage;
 
@@ -38,6 +40,21 @@ pub fn standard_setup(mesh: &TriMesh) -> Result<FemModel, FemError> {
         }
     }
     Ok(model)
+}
+
+/// A spec legal under Table 2 but within 10 % of the horizontal grid
+/// limit (38 of 40 columns): the D004 proximity lint fires under the
+/// historical capability and stays silent under `LargeMesh`.
+pub fn near_limit_spec() -> IdealizationSpec {
+    let mut spec = IdealizationSpec::new("NEAR THE GRID LIMIT");
+    spec.add_subdivision(Subdivision::rectangular(1, (0, 0), (38, 2)).expect("valid box"));
+    for (row, y) in [(0, 0.0), (2, 1.0)] {
+        spec.add_shape_line(
+            1,
+            ShapeLine::straight((0, row), (38, row), Point::new(0.0, y), Point::new(38.0, y)),
+        );
+    }
+    spec
 }
 
 /// Every catalog deck that round-trips, as a batch job with the

@@ -19,7 +19,7 @@
 //!   them. The store is LRU-bounded by an approximate byte budget, and
 //!   every lookup lands in the `cache.hits` / `cache.misses` counters
 //!   (plus the store's own [`CacheStats`], for contexts where the
-//!   thread-local instrument collector is disabled).
+//!   calling thread's instrument recorder is off).
 //!
 //! The *config fingerprint* half of the key is produced by the consumer
 //! (`cafemio::SessionConfig::fingerprint`) — capability, solver, CG

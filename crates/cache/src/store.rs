@@ -4,6 +4,8 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use cafemio_instrument::PerfReport;
+
 /// Which pipeline stage a cached value belongs to. Part of every
 /// [`CacheKey`], so two stages can never collide even when their input
 /// hashes coincide.
@@ -64,6 +66,21 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+impl CacheStats {
+    /// Writes this snapshot into `report` as the `cache.hits`,
+    /// `cache.misses`, `cache.evictions`, `cache.bytes` and
+    /// `cache.entries` counters, replacing records of those names: the
+    /// running totals [`StageCache::get`] emits mean nothing once merged
+    /// across jobs or requests.
+    pub fn publish(&self, report: &mut PerfReport) {
+        report.set_counter("cache.hits", self.hits);
+        report.set_counter("cache.misses", self.misses);
+        report.set_counter("cache.evictions", self.evictions);
+        report.set_counter("cache.bytes", self.bytes);
+        report.set_counter("cache.entries", self.entries as u64);
+    }
+}
+
 struct Entry {
     value: Arc<dyn Any + Send + Sync>,
     bytes: u64,
@@ -91,8 +108,8 @@ struct Inner {
 /// * **Observability**: every lookup emits `cache.hits` /
 ///   `cache.misses` through [`cafemio_instrument`] (under `cache.lookup`
 ///   / `cache.store` spans) *and* bumps the store's own [`CacheStats`],
-///   which keeps counting even where the thread-local collector is
-///   disabled (batch workers, serve connection threads).
+///   which keeps counting even where the calling thread records nothing
+///   and which [`CacheStats::publish`] writes into merged reports.
 ///
 /// Failures are the caller's concern: the store only ever holds
 /// successfully produced artifacts, so errors are recomputed — and

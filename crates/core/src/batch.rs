@@ -23,9 +23,10 @@
 //!   [`PipelineError`] with [`Stage`](crate::pipeline::Stage)
 //!   attribution, under a [fail-fast or collect-all](ErrorPolicy)
 //!   policy;
-//! * **merged observability** — a per-stage
-//!   [`PerfReport`] aggregated across workers
-//!   ([`PerfReport::merge`]), with a jobs/sec throughput counter.
+//! * **merged observability** — each job runs under its own
+//!   [`cafemio_instrument::record`] scope, and the per-job reports
+//!   aggregate into one [`PerfReport`] ([`PerfReport::merge`]) with a
+//!   jobs/sec throughput counter.
 //!
 //! ```
 //! use cafemio::batch::{run_batch, BatchJob, BatchOptions};
@@ -69,40 +70,16 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cafemio_audit::AuditOptions;
 use cafemio_fem::{CgOptions, FemError, FemModel, SolverBackend};
 use cafemio_idlz::Capability;
-use cafemio_instrument::{CounterRecord, PerfReport, SpanRecord};
-use cafemio_lint::{LintConfig, LintError};
+use cafemio_instrument::{add, record, span, PerfReport, SpanRecord};
 use cafemio_mesh::TriMesh;
 use cafemio_ospl::ContourOptions;
 
+use crate::audit::AuditOptions;
 use crate::config::SessionConfig;
-use crate::pipeline::{
-    audit_failure, PipelineBuilder, PipelineError, StageError, StressComponent, StressPlot,
-};
-
-/// Appends a `cache.*` counter snapshot from the configured store (if
-/// any) to a merged report: hits, misses, evictions, resident bytes, and
-/// entry count at the moment the report was assembled.
-fn append_cache_counters(perf: &mut PerfReport, config: &SessionConfig) {
-    let Some(store) = config.cache_store() else {
-        return;
-    };
-    let stats = store.stats();
-    for (name, value) in [
-        ("cache.hits", stats.hits),
-        ("cache.misses", stats.misses),
-        ("cache.evictions", stats.evictions),
-        ("cache.bytes", stats.bytes),
-        ("cache.entries", stats.entries as u64),
-    ] {
-        perf.counters.push(CounterRecord {
-            name: name.to_owned(),
-            value,
-        });
-    }
-}
+use crate::lint::LintConfig;
+use crate::pipeline::{PipelineBuilder, PipelineError, StageError, StressComponent, StressPlot};
 
 /// The model-setup callback a job carries: boundary conditions and loads
 /// for one idealized mesh. Shared (`Arc`) so a corpus of jobs can reuse
@@ -278,9 +255,11 @@ impl BatchOptions {
     /// [`PipelineBuilder::config`](crate::pipeline::PipelineBuilder::config),
     /// and the serve layer.
     ///
-    /// Audit and lint still run at the batch layer (so their cost lands
-    /// in dedicated `audit.*` / `lint.deck` spans), but they are
-    /// configured here like every other session option.
+    /// Each job runs exactly the session a [`PipelineBuilder`] with this
+    /// config would run, lint and audit included, so a batch job and a
+    /// direct session give the same answer. Lint and audit time is
+    /// counted inside the `batch.<stage>` span of the stage that runs
+    /// them.
     pub fn config(mut self, config: SessionConfig) -> BatchOptions {
         self.config = config;
         self
@@ -354,9 +333,10 @@ pub struct BatchReport {
     /// One outcome per submitted job, **in submission order** regardless
     /// of which worker finished when.
     pub outcomes: Vec<JobOutcome>,
-    /// Per-stage wall-clock totals aggregated across every worker
-    /// (span names `batch.parse` … `batch.contour` under `batch.total`),
-    /// plus job/throughput counters.
+    /// Per-stage wall-clock totals aggregated across every job (span
+    /// names `batch.parse` … `batch.contour` under `batch.total`, with
+    /// everything each job's session recorded nested beneath them), plus
+    /// job/throughput counters.
     pub perf: PerfReport,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
@@ -411,166 +391,70 @@ pub const STAGE_SPANS: [&str; 6] = [
     "batch.contour",
 ];
 
-/// A worker's private per-stage accumulator; merged across workers at
-/// the end of the run.
-struct StageClock {
-    report: PerfReport,
-}
-
-impl StageClock {
-    fn new() -> StageClock {
-        StageClock {
-            report: PerfReport::default(),
-        }
-    }
-
-    fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        match self
-            .report
-            .spans
-            .iter_mut()
-            .find(|s| s.name == name && s.depth == 1)
-        {
-            Some(span) => span.nanos = span.nanos.saturating_add(nanos),
-            None => self.report.spans.push(SpanRecord {
-                name: name.to_owned(),
-                depth: 1,
-                nanos,
-            }),
-        }
-        out
-    }
-
-    /// Accumulates into a named counter; merged across workers by
-    /// [`PerfReport::merge`]'s by-name summation.
-    fn count(&mut self, name: &str, add: u64) {
-        match self.report.counters.iter_mut().find(|c| c.name == name) {
-            Some(counter) => counter.value = counter.value.saturating_add(add),
-            None => self.report.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: add,
-            }),
-        }
-    }
-}
-
-/// Runs one job through the staged pipeline, attributing wall-clock time
-/// to each stage on the worker's private clock.
-///
-/// With audit on, the checks run at this layer — not inside the pipeline
-/// session — so their cost lands in dedicated `audit.*` spans instead of
-/// inflating the stage timings the audit-off baseline is compared
-/// against.
-fn execute(
-    job: &BatchJob,
-    clock: &mut StageClock,
-    options: &BatchOptions,
-) -> Result<Vec<StressPlot>, PipelineError> {
-    let audit = options.config.audit_options();
-    let lint = options.config.lint_options();
-    if let Some(lint) = lint {
-        // Lint runs at this layer — like audit — so its cost lands in a
-        // dedicated `lint.deck` span. A deck that does not even parse is
-        // not a lint failure: fall through and let the pipeline's own
-        // parse attribute the error.
-        let report = clock.time("lint.deck", || {
-            cafemio_lint::lint_deck_text(&job.deck, lint)
-        });
-        if let Ok(report) = report {
-            clock.count("lint.diagnostics", report.diagnostics().len() as u64);
-            if let Some(error) = LintError::from_report(&report) {
-                clock.count("lint.denied", error.diagnostics.len() as u64);
-                return Err(PipelineError::at(
-                    crate::pipeline::Stage::DeckParse,
-                    StageError::Lint(error),
-                ));
-            }
-        }
-    }
-    // Audit and lint run at this layer for span attribution, so the
-    // session itself gets the shared config with both stripped; the
-    // stage cache, capability, and solver knobs pass straight through.
-    let mut session = options.config.clone();
-    session.audit = None;
-    session.lint = None;
+/// Runs one job as the plain staged session its [`SessionConfig`]
+/// describes — lint, audit and cache included — with each stage
+/// transition under its `batch.<stage>` span.
+fn execute(job: &BatchJob, config: &SessionConfig) -> Result<Vec<StressPlot>, PipelineError> {
     let builder = PipelineBuilder::new()
         .component(job.component)
         .contour_options(job.options.clone())
-        .config(session);
-    let parsed = clock.time("batch.parse", || builder.parse(&job.deck))?;
-    let idealized = clock.time("batch.idealize", || parsed.idealize())?;
-    if let Some(audit) = audit {
-        let checks = clock.time("audit.idealize", || {
-            idealized.sets().iter().try_fold(0u64, |total, set| {
-                cafemio_audit::check_idealization(&set.spec, &set.result, audit)
-                    .map(|checks| total + checks)
-                    .map_err(audit_failure)
-            })
-        })?;
-        clock.count("audit.checks", checks);
+        .config(config.clone());
+    let parsed = {
+        let _span = span("batch.parse");
+        builder.parse(&job.deck)?
+    };
+    let idealized = {
+        let _span = span("batch.idealize");
+        parsed.idealize()?
+    };
+    let ready = {
+        let _span = span("batch.model_setup");
+        idealized.setup(&*job.setup)?
+    };
+    let solved = {
+        let _span = span("batch.solve");
+        ready.solve()?
+    };
+    let recovered = {
+        let _span = span("batch.stress_recovery");
+        solved.recover()?
+    };
+    let _span = span("batch.contour");
+    recovered.contour()
+}
+
+/// The zero-valued layout a drained report starts from, so its shape
+/// does not depend on which jobs ran or which worker finished first.
+/// Each seed sits at the depth a job records that span at — the
+/// `batch.<stage>` spans at the top, the session's `audit.*` and
+/// `lint.deck` spans under `pipeline.<stage>` — so merging folds seed and
+/// span into one record. [`BatchDispatcher::drain`] then moves the whole
+/// layout one level down.
+fn seeded_report(config: &SessionConfig) -> PerfReport {
+    let mut spans: Vec<(&str, u32)> = STAGE_SPANS.iter().map(|&name| (name, 0)).collect();
+    let mut counters = vec!["batch.completed", "batch.failed"];
+    if config.audit.is_some() {
+        for name in ["audit.idealize", "audit.solve", "audit.contour"] {
+            spans.push((name, 2));
+        }
+        counters.extend(["audit.checks", "audit.violations"]);
     }
-    let setup = &job.setup;
-    let ready = clock.time("batch.model_setup", || idealized.setup(|mesh| setup(mesh)))?;
-    let solved = clock.time("batch.solve", || ready.solve())?;
-    if let Some(audit) = audit {
-        let checks = clock.time("audit.solve", || {
-            solved.cases().iter().try_fold(0u64, |total, case| {
-                let mut checks =
-                    cafemio_audit::check_solution(case.model(), case.solution(), audit)
-                        .map_err(audit_failure)?;
-                if audit.differential() {
-                    // An iterative session solution only matches the
-                    // direct re-solves to its own convergence tolerance.
-                    let effective = if options.config.solver == SolverBackend::SparseCg {
-                        audit
-                            .clone()
-                            .with_divergence_tolerance(audit.iterative_divergence_tolerance())
-                    } else {
-                        audit.clone()
-                    };
-                    cafemio_audit::check_differential(case.model(), case.solution(), &effective)
-                        .map_err(audit_failure)?;
-                    checks += 1;
-                }
-                if audit.sparse_differential() && options.config.solver != SolverBackend::SparseCg {
-                    cafemio_audit::check_sparse_differential(
-                        case.model(),
-                        case.solution(),
-                        audit,
-                    )
-                    .map_err(audit_failure)?;
-                    checks += 1;
-                }
-                Ok(total + checks)
-            })
-        })?;
-        clock.count("audit.checks", checks);
+    if config.lint.is_some() {
+        spans.push(("lint.deck", 2));
+        counters.extend(["lint.diagnostics", "lint.denied"]);
     }
-    let recovered = clock.time("batch.stress_recovery", || solved.recover())?;
-    let plots = clock.time("batch.contour", || recovered.contour())?;
-    if let Some(audit) = audit {
-        // contour() yields exactly one plot per recovered case, in order.
-        let checks = clock.time("audit.contour", || {
-            recovered.cases().iter().zip(&plots).try_fold(
-                0u64,
-                |total, (case, plot)| {
-                    cafemio_audit::check_contours(
-                        case.model().mesh(),
-                        &plot.field,
-                        &plot.contours,
-                        audit,
-                    )
-                    .map(|checks| total + checks)
-                    .map_err(audit_failure)
-                },
-            )
-        })?;
-        clock.count("audit.checks", checks);
+    let mut perf = PerfReport::default();
+    for (name, depth) in spans {
+        perf.spans.push(SpanRecord {
+            name: name.to_owned(),
+            depth,
+            nanos: 0,
+        });
     }
-    Ok(plots)
+    for name in counters {
+        perf.set_counter(name, 0);
+    }
+    perf
 }
 
 /// Runs every job through the full pipeline on a [`BatchDispatcher`] and
@@ -627,11 +511,7 @@ pub fn run_batch(jobs: &[BatchJob], options: &BatchOptions) -> BatchReport {
         },
     );
     // `drain` counts the jobs it accepted; the run counts every job.
-    for counter in &mut perf.counters {
-        if counter.name == "batch.jobs" {
-            counter.value = jobs.len() as u64;
-        }
-    }
+    perf.set_counter("batch.jobs", jobs.len() as u64);
     let mut report = BatchReport {
         outcomes,
         perf,
@@ -643,18 +523,12 @@ pub fn run_batch(jobs: &[BatchJob], options: &BatchOptions) -> BatchReport {
     } else {
         0
     };
-    let counters = [
-        ("batch.skipped", report.skipped() as u64),
-        // Millijobs per second: an integer counter with enough
-        // resolution for slow corpora (1 job / 20 min ≈ 0.8 mJ/s).
-        ("batch.jobs_per_sec_milli", jobs_per_sec_milli),
-    ];
-    for (name, value) in counters {
-        report.perf.counters.push(CounterRecord {
-            name: name.to_owned(),
-            value,
-        });
-    }
+    let skipped = report.skipped() as u64;
+    let perf = &mut report.perf;
+    perf.set_counter("batch.skipped", skipped);
+    // Millijobs per second: an integer counter with enough resolution for
+    // slow corpora (1 job / 20 min ≈ 0.8 mJ/s).
+    perf.set_counter("batch.jobs_per_sec_milli", jobs_per_sec_milli);
     report
 }
 
@@ -892,8 +766,9 @@ impl BatchClient {
 ///
 /// [`drain`](Self::drain) is the graceful shutdown: admission closes,
 /// every already-accepted job still runs to completion and resolves its
-/// ticket, the workers exit, and their merged [`PerfReport`] (the
-/// `batch.*` spans plus `audit.*`/`lint.*` when enabled) is returned.
+/// ticket, the workers exit, and the merged [`PerfReport`] of every job
+/// they ran (the `batch.*` spans with each job's session telemetry
+/// beneath them) is returned.
 ///
 /// ```
 /// use cafemio::batch::{BatchDispatcher, BatchJob, BatchOptions};
@@ -994,10 +869,11 @@ impl BatchDispatcher {
     /// Graceful shutdown: closes admission (subsequent submissions get
     /// [`AdmissionError::Draining`]), lets every accepted job run to
     /// completion and resolve its ticket, joins the workers, and returns
-    /// their merged per-stage [`PerfReport`]: the stage spans,
+    /// the merged [`PerfReport`] of every job they ran: the stage spans
+    /// (each at depth 1, over what the job's session recorded),
     /// `batch.completed`, `batch.failed`, `batch.jobs` (accepted jobs),
     /// `batch.workers` and the `cache.*` snapshot. [`run_batch`] adds the
-    /// run-level `batch.total` span and `batch.skipped` /
+    /// run-level `batch.total` span at depth 0 and the `batch.skipped` /
     /// `batch.jobs_per_sec_milli` counters on top.
     pub fn drain(self) -> PerfReport {
         {
@@ -1009,53 +885,17 @@ impl BatchDispatcher {
             state.closed = true;
             self.shared.ready.notify_all();
         }
-        let mut perf = PerfReport::default();
-        for name in STAGE_SPANS {
-            perf.spans.push(SpanRecord {
-                name: name.to_owned(),
-                depth: 1,
-                nanos: 0,
-            });
-        }
-        for name in ["batch.completed", "batch.failed"] {
-            perf.counters.push(CounterRecord {
-                name: name.to_owned(),
-                value: 0,
-            });
-        }
-        if self.shared.options.config.audit.is_some() {
-            for name in ["audit.idealize", "audit.solve", "audit.contour"] {
-                perf.spans.push(SpanRecord {
-                    name: name.to_owned(),
-                    depth: 1,
-                    nanos: 0,
-                });
-            }
-            for name in ["audit.checks", "audit.violations"] {
-                perf.counters.push(CounterRecord {
-                    name: name.to_owned(),
-                    value: 0,
-                });
-            }
-        }
-        if self.shared.options.config.lint.is_some() {
-            perf.spans.push(SpanRecord {
-                name: "lint.deck".to_owned(),
-                depth: 1,
-                nanos: 0,
-            });
-            for name in ["lint.diagnostics", "lint.denied"] {
-                perf.counters.push(CounterRecord {
-                    name: name.to_owned(),
-                    value: 0,
-                });
-            }
-        }
+        let config = &self.shared.options.config;
+        let mut perf = seeded_report(config);
         for worker in self.workers {
             // invariant: a worker hands a job's panic to its ticket, so
             // the thread itself never dies mid-job.
             let report = worker.join().expect("batch worker never panics");
             perf.merge(&report);
+        }
+        // Depth 0 is left to the run-level `batch.total`.
+        for span in &mut perf.spans {
+            span.depth = span.depth.saturating_add(1);
         }
         let accepted = self
             .shared
@@ -1063,15 +903,11 @@ impl BatchDispatcher {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .accepted;
-        perf.counters.push(CounterRecord {
-            name: "batch.jobs".to_owned(),
-            value: accepted,
-        });
-        perf.counters.push(CounterRecord {
-            name: "batch.workers".to_owned(),
-            value: self.shared.options.workers.max(1) as u64,
-        });
-        append_cache_counters(&mut perf, &self.shared.options.config);
+        perf.set_counter("batch.jobs", accepted);
+        perf.set_counter("batch.workers", self.shared.options.workers.max(1) as u64);
+        if let Some(store) = config.cache_store() {
+            store.stats().publish(&mut perf);
+        }
         perf
     }
 }
@@ -1080,7 +916,7 @@ impl BatchDispatcher {
 /// when the dispatcher is draining **and** the queue is empty, so every
 /// accepted job resolves its ticket exactly once.
 fn worker_loop(shared: &DispatcherShared) -> PerfReport {
-    let mut clock = StageClock::new();
+    let mut perf = PerfReport::default();
     loop {
         let (job, ticket) = {
             let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -1089,7 +925,7 @@ fn worker_loop(shared: &DispatcherShared) -> PerfReport {
                     break entry;
                 }
                 if state.closed {
-                    return clock.report;
+                    return perf;
                 }
                 state = shared
                     .ready
@@ -1097,28 +933,31 @@ fn worker_loop(shared: &DispatcherShared) -> PerfReport {
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        // A panicking setup closure must not strand the job's waiter:
-        // its payload travels to the ticket and resumes there.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(&job, &mut clock, &shared.options)
-        }))
-        .map(|result| match result {
-            Ok(plots) => {
-                clock.count("batch.completed", 1);
-                JobOutcome::Completed(plots)
-            }
-            Err(err) => {
-                if matches!(err.source_error(), StageError::Audit(_)) {
-                    clock.count("audit.violations", 1);
+        // The job owns its telemetry: everything it records, down to its
+        // outcome tally, folds into this worker's aggregate. A panicking
+        // setup closure must not strand the job's waiter: its payload
+        // travels to the ticket and resumes there.
+        let (outcome, report) = record(|| {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                execute(&job, &shared.options.config)
+            }));
+            match &outcome {
+                Ok(Ok(_)) => add("batch.completed", 1),
+                Ok(Err(err)) => {
+                    if matches!(err.source_error(), StageError::Audit(_)) {
+                        add("audit.violations", 1);
+                    }
+                    add("batch.failed", 1);
                 }
-                clock.count("batch.failed", 1);
-                JobOutcome::Failed(err)
+                // Keeps `batch.jobs == batch.completed + batch.failed`.
+                Err(_) => add("batch.failed", 1),
             }
+            outcome.map(|result| match result {
+                Ok(plots) => JobOutcome::Completed(plots),
+                Err(err) => JobOutcome::Failed(err),
+            })
         });
-        if outcome.is_err() {
-            // Keeps `batch.jobs == batch.completed + batch.failed`.
-            clock.count("batch.failed", 1);
-        }
+        perf.merge(&report);
         if shared.fail_fast && !matches!(outcome, Ok(JobOutcome::Completed(_))) {
             shared.abort();
         }
@@ -1234,7 +1073,9 @@ mod tests {
         assert_eq!(report.skipped(), 0);
         use crate::pipeline::Stage;
         assert_eq!(report.outcomes[1].error().unwrap().stage(), Stage::DeckParse);
-        assert_eq!(report.outcomes[4].error().unwrap().stage(), Stage::Solve);
+        let singular = report.outcomes[4].error().unwrap();
+        assert_eq!(singular.stage(), Stage::Solve);
+        assert_eq!(singular.span_context()[0], "batch.solve");
     }
 
     #[test]
@@ -1368,7 +1209,7 @@ mod tests {
             &jobs,
             &BatchOptions::new()
                 .workers(2)
-                .config(SessionConfig::new().audit(cafemio_audit::AuditOptions::strict())),
+                .config(SessionConfig::new().audit(AuditOptions::strict())),
         );
         assert_eq!(report.completed(), 3);
         assert!(report.perf.counter("audit.checks").unwrap() > 0);
@@ -1395,7 +1236,7 @@ mod tests {
     #[test]
     fn lint_mode_denies_bad_decks_and_counts_diagnostics() {
         use crate::pipeline::Stage;
-        use cafemio_lint::{LintCode, LintConfig};
+        use crate::lint::LintCode;
         let overlapping = concat!(
             "    1\n",
             "OVERLAPPING BOXES\n",
@@ -1432,7 +1273,6 @@ mod tests {
 
     #[test]
     fn lint_mode_passes_clean_decks_with_zeroed_counters() {
-        use cafemio_lint::LintConfig;
         let report = run_batch(
             &plate_jobs(2),
             &BatchOptions::new()
@@ -1464,7 +1304,7 @@ mod tests {
             &jobs,
             &BatchOptions::new()
                 .workers(1)
-                .config(SessionConfig::new().audit(cafemio_audit::AuditOptions::new())),
+                .config(SessionConfig::new().audit(AuditOptions::new())),
         );
         assert_eq!(report.failed(), 1);
         assert_eq!(report.perf.counter("audit.violations"), Some(0));

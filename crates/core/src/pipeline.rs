@@ -242,7 +242,7 @@ impl std::error::Error for PipelineError {
 
 /// Wraps an audit verdict as a pipeline error attributed to the stage
 /// whose invariant broke.
-pub(crate) fn audit_failure(error: AuditError) -> PipelineError {
+fn audit_failure(error: AuditError) -> PipelineError {
     let stage = match error.stage() {
         AuditStage::Idealize => Stage::Idealize,
         AuditStage::Solve => Stage::Solve,
@@ -553,10 +553,12 @@ impl ParsedDeck {
             .collect::<Result<Vec<_>, PipelineError>>()?;
         if let Some(audit) = &self.config.shared.audit {
             let _audit_span = cafemio_instrument::span("audit.idealize");
+            let mut checks = 0;
             for set in &sets {
-                cafemio_audit::check_idealization(&set.spec, &set.result, audit)
+                checks += cafemio_audit::check_idealization(&set.spec, &set.result, audit)
                     .map_err(audit_failure)?;
             }
+            cafemio_instrument::add("audit.checks", checks);
         }
         Ok(Idealized {
             sets,
@@ -688,8 +690,9 @@ impl ModelReady {
             .collect::<Result<Vec<_>, PipelineError>>()?;
         if let Some(audit) = &self.config.shared.audit {
             let _audit_span = cafemio_instrument::span("audit.solve");
+            let mut checks = 0;
             for case in &cases {
-                cafemio_audit::check_solution(&case.model, &case.solution, audit)
+                checks += cafemio_audit::check_solution(&case.model, &case.solution, audit)
                     .map_err(audit_failure)?;
                 if audit.differential() {
                     let _diff_span = cafemio_instrument::span("audit.differential");
@@ -705,13 +708,16 @@ impl ModelReady {
                     };
                     cafemio_audit::check_differential(&case.model, &case.solution, &effective)
                         .map_err(audit_failure)?;
+                    checks += 1;
                 }
                 if audit.sparse_differential() && backend != SolverBackend::SparseCg {
                     let _diff_span = cafemio_instrument::span("audit.differential");
                     cafemio_audit::check_sparse_differential(&case.model, &case.solution, audit)
                         .map_err(audit_failure)?;
+                    checks += 1;
                 }
             }
+            cafemio_instrument::add("audit.checks", checks);
         }
         Ok(Solved {
             cases,
@@ -910,6 +916,7 @@ impl Recovered {
         }
         let cache = self.config.cache().map(|(store, fp)| (Arc::clone(store), fp));
         let mut plots = Vec::with_capacity(self.cases.len());
+        let mut audit_checks = 0;
         for case in &self.cases {
             let field = component.field(&case.stresses);
             let key = cache.as_ref().map(|&(_, fp)| {
@@ -938,10 +945,14 @@ impl Recovered {
             // warm session proves the same properties a cold one does.
             if let Some(audit) = &self.config.shared.audit {
                 let _audit_span = cafemio_instrument::span("audit.contour");
-                cafemio_audit::check_contours(case.model.mesh(), &field, &contours, audit)
-                    .map_err(audit_failure)?;
+                audit_checks +=
+                    cafemio_audit::check_contours(case.model.mesh(), &field, &contours, audit)
+                        .map_err(audit_failure)?;
             }
             plots.push(StressPlot { field, contours });
+        }
+        if self.config.shared.audit.is_some() {
+            cafemio_instrument::add("audit.checks", audit_checks);
         }
         Ok(plots)
     }

@@ -11,12 +11,12 @@
 //! [`PerfReport`] that serializes both to JSON — the machine-readable
 //! artifact every perf PR benchmarks against.
 //!
-//! Instrumentation is **off by default and near-free when off**: a
-//! disabled [`span`] records nothing and takes no lock (it only maintains
-//! the thread-local open-span name stack behind [`active_spans`], one
-//! clock read and one push), and a disabled [`counter`] is a single
-//! relaxed atomic load. Turn collection on around the region you care
-//! about, then drain with [`take_report`]:
+//! Every thread has its own recorder. Instrumentation is **off by
+//! default and near-free when off**: a disabled [`span`] records nothing
+//! (it only maintains the thread's open-span name stack behind
+//! [`active_spans`], one clock read and one push), and a disabled
+//! [`counter`] or [`add`] is one thread-local flag check. Turn collection
+//! on around the region you care about, then drain with [`take_report`]:
 //!
 //! ```
 //! cafemio_instrument::set_enabled(true);
@@ -35,10 +35,13 @@
 //! assert_eq!(report, back);
 //! ```
 //!
-//! Spans and counters are recorded from whichever thread runs the
-//! pipeline. Pipeline kernels are serial; decks run concurrently only on
-//! the batch dispatcher's workers and the serve layer's connection
-//! threads, so one deck's telemetry never fans out across threads.
+//! [`set_enabled`] and [`take_report`] act on the calling thread only.
+//! A unit of work that owns its telemetry — a batch job, a served
+//! request — runs under [`record`], which installs a fresh recorder for
+//! one closure and restores the thread's previous one afterwards; the
+//! units' reports aggregate with [`PerfReport::merge`]. [`counter`]
+//! overwrites (last value wins) and [`add`] sums. Pipeline kernels are
+//! serial, so one deck's telemetry never fans out across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,5 +53,6 @@ mod span;
 
 pub use report::{CounterRecord, PerfReport, ReportError, SpanRecord};
 pub use span::{
-    active_spans, counter, is_enabled, set_enabled, span, take_report, ActiveSpan, Span,
+    active_spans, add, counter, is_enabled, record, set_enabled, span, take_report, ActiveSpan,
+    Span,
 };

@@ -2,10 +2,10 @@
 //! workspace is allowed to emit.
 //!
 //! `srclint` extracts every name literal passed to an emission site
-//! (`span("..")`, `counter("..")`, and the request-clock `.time("..")` /
-//! `.count("..")` methods) from non-test library code and checks it
-//! against this registry by kind — a span site's name must be in
-//! [`SPANS`] and a counter site's in [`COUNTERS`]. An unregistered or
+//! (the free functions `span("..")`, `counter("..")` and `add("..")`)
+//! from non-test library code and checks it against this registry by
+//! kind — a span site's name must be in [`SPANS`] and a counter or add
+//! site's in [`COUNTERS`]. An unregistered or
 //! wrongly filed name fails CI, and so does a registered name nothing
 //! emits. The registry is therefore the single place a new telemetry
 //! name is minted, and dashboards built on these names cannot silently

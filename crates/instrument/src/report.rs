@@ -58,6 +58,19 @@ impl PerfReport {
         self.counters.iter().find(|c| c.name == name).map(|c| c.value)
     }
 
+    /// Sets a counter, replacing the value of an existing record of that
+    /// name (such as one summed by [`merge`](Self::merge)) or appending a
+    /// new record.
+    pub fn set_counter(&mut self, name: &str, value: u64) {
+        match self.counters.iter_mut().find(|c| c.name == name) {
+            Some(existing) => existing.value = value,
+            None => self.counters.push(CounterRecord {
+                name: name.to_owned(),
+                value,
+            }),
+        }
+    }
+
     /// Total nanoseconds of a named span, summed over repeats.
     pub fn span_nanos(&self, name: &str) -> u64 {
         self.spans
@@ -73,11 +86,12 @@ impl PerfReport {
     /// counter with an existing name adds its value. Unmatched records
     /// are appended in `other`'s order.
     ///
-    /// This is the cross-thread reduction the batch engine uses: each
-    /// worker accumulates a private per-stage report, and the engine
-    /// folds them into one aggregate. Note the counter semantics differ
-    /// from [`counter`](crate::counter) (which is last-write-wins):
-    /// merging *sums*, because two workers' job counts are additive.
+    /// This is how per-job telemetry aggregates: each batch job and each
+    /// served request runs under its own [`record`](crate::record), and
+    /// its report folds into a worker's or the server's aggregate. Note
+    /// the counter semantics differ from [`counter`](crate::counter)
+    /// (which is last-write-wins): merging *sums*, because two jobs'
+    /// counts are additive.
     pub fn merge(&mut self, other: &PerfReport) {
         for span in &other.spans {
             match self
@@ -176,7 +190,10 @@ impl PerfReport {
                 depth: span
                     .get("depth")
                     .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("span missing \"depth\""))? as u32,
+                    .ok_or_else(|| bad("span missing \"depth\""))
+                    .and_then(|depth| {
+                        u32::try_from(depth).map_err(|_| bad("span \"depth\" exceeds u32"))
+                    })?,
                 nanos: span
                     .get("nanos")
                     .and_then(JsonValue::as_u64)
@@ -255,6 +272,9 @@ mod tests {
         assert_eq!(report.span_nanos("idlz.run"), 123_456_790);
         assert_eq!(report.counter("idlz.nodes"), Some(u64::MAX));
         assert_eq!(report.counter("missing"), None);
+        report.set_counter("idlz.nodes", 7);
+        assert_eq!(report.counters.len(), 1);
+        assert_eq!(report.counter("idlz.nodes"), Some(7));
     }
 
     #[test]
@@ -335,9 +355,11 @@ mod tests {
         assert!(PerfReport::from_json("{").is_err());
         assert!(PerfReport::from_json("[]").is_err());
         assert!(PerfReport::from_json("{\"spans\": [], \"counters\": 3}").is_err());
-        assert!(PerfReport::from_json(
-            "{\"spans\": [{\"name\": \"x\", \"depth\": -1, \"nanos\": 0}], \"counters\": []}"
-        )
-        .is_err());
+        for depth in ["-1", "4294967296"] {
+            let json = format!(
+                "{{\"spans\": [{{\"name\": \"x\", \"depth\": {depth}, \"nanos\": 0}}], \"counters\": []}}"
+            );
+            assert!(PerfReport::from_json(&json).is_err(), "depth {depth}");
+        }
     }
 }

@@ -1,55 +1,54 @@
-//! The global span/counter collector.
+//! The per-thread span/counter recorder.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::report::{CounterRecord, PerfReport, SpanRecord};
 
-/// Master switch. All recording is skipped while this is false.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::new(Local::default());
+}
 
-/// Monotone sequence for start order, so the report lists spans in the
-/// order they opened even though they are recorded when they close.
-static START_SEQ: AtomicU64 = AtomicU64::new(0);
+#[derive(Default)]
+struct Local {
+    /// Names and start times of the spans currently open on this thread,
+    /// outermost first. Maintained even while collection is disabled so
+    /// error paths can always attach "where was the pipeline" context.
+    stack: Vec<(&'static str, Instant)>,
+    /// Where this thread's spans and counters land: the thread's own
+    /// recorder, or the one a [`record`] call installed.
+    recorder: Recorder,
+}
 
-/// Completed spans and counters, drained by [`take_report`].
-static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
-    spans: Vec::new(),
-    counters: Vec::new(),
-});
-
-struct Collector {
+#[derive(Default)]
+struct Recorder {
+    enabled: bool,
+    /// Armed spans open under this recorder.
+    depth: u32,
+    /// Start order of the next span, so the report lists spans in the
+    /// order they opened even though they are recorded when they close.
+    next_seq: u64,
     /// `(start sequence, record)` pairs; sorted on drain.
     spans: Vec<(u64, SpanRecord)>,
     counters: Vec<CounterRecord>,
 }
 
-thread_local! {
-    /// Nesting depth of open spans on this thread.
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Names and start times of the spans currently open on this thread,
-    /// outermost first. Maintained even while collection is disabled so
-    /// error paths can always attach "where was the pipeline" context.
-    static STACK: std::cell::RefCell<Vec<(&'static str, Instant)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Turns collection on or off. Off is the default; a disabled [`span`]
-/// records nothing and only maintains the open-span name stack.
+/// Turns collection on or off for the calling thread. Off is the
+/// default; a disabled [`span`] records nothing and only maintains the
+/// open-span name stack. Turning collection off keeps what was already
+/// recorded for [`take_report`].
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    LOCAL.with(|l| l.borrow_mut().recorder.enabled = on);
 }
 
-/// Whether collection is currently on.
+/// Whether collection is on for the calling thread.
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LOCAL.with(|l| l.borrow().recorder.enabled)
 }
 
 /// Opens a timing span; the returned guard records the elapsed wall-clock
-/// time when dropped. Spans opened while another span is live on the same
-/// thread record a one-greater nesting depth.
+/// time when dropped. Spans opened while another span is live under the
+/// same recorder record a one-greater nesting depth.
 ///
 /// The open-span *name stack* is maintained even while collection is
 /// disabled (a disabled span costs one clock read and one thread-local
@@ -57,23 +56,23 @@ pub fn is_enabled() -> bool {
 /// was and for how long it had been there.
 pub fn span(name: &'static str) -> Span {
     let start = Instant::now();
-    STACK.with(|s| s.borrow_mut().push((name, start)));
-    if !is_enabled() {
-        return Span { armed: None, name };
-    }
-    let depth = DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth
-    });
-    Span {
-        armed: Some(Armed {
+    let armed = LOCAL.with(|l| {
+        let l = &mut *l.borrow_mut();
+        l.stack.push((name, start));
+        let r = &mut l.recorder;
+        if !r.enabled {
+            return None;
+        }
+        let armed = Armed {
             start,
-            seq: START_SEQ.fetch_add(1, Ordering::Relaxed),
-            depth,
-        }),
-        name,
-    }
+            seq: r.next_seq,
+            depth: r.depth,
+        };
+        r.next_seq += 1;
+        r.depth += 1;
+        Some(armed)
+    });
+    Span { armed, name }
 }
 
 /// A span that is currently open on this thread, captured by
@@ -98,16 +97,17 @@ impl std::fmt::Display for ActiveSpan {
 }
 
 /// The spans currently open on this thread, outermost first, with their
-/// elapsed time so far. Works whether or not collection is enabled; error
-/// types use it to attach "which stage, how deep, for how long" context
-/// to failures.
+/// elapsed time so far. Works whether or not collection is enabled, and
+/// sees through [`record`] scopes; error types use it to attach "which
+/// stage, how deep, for how long" context to failures.
 pub fn active_spans() -> Vec<ActiveSpan> {
-    STACK.with(|s| {
-        s.borrow()
+    LOCAL.with(|l| {
+        l.borrow()
+            .stack
             .iter()
             .map(|&(name, start)| ActiveSpan {
                 name,
-                elapsed_nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                elapsed_nanos: nanos_since(start),
             })
             .collect()
     })
@@ -116,30 +116,81 @@ pub fn active_spans() -> Vec<ActiveSpan> {
 /// Records a named counter value. Re-recording a name overwrites the
 /// previous value, so stages can report "last value wins" totals.
 pub fn counter(name: &'static str, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut collector = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(existing) = collector.counters.iter_mut().find(|c| c.name == name) {
-        existing.value = value;
-    } else {
-        collector.counters.push(CounterRecord {
-            name: name.to_owned(),
-            value,
-        });
-    }
+    update_counter(name, |_| value);
 }
 
-/// Drains everything recorded so far into a [`PerfReport`]. Spans are
-/// listed in start order; counters in first-recorded order.
+/// Adds `delta` to a named counter (starting from zero), so repeated
+/// calls sum — the tally counterpart of [`counter`].
+pub fn add(name: &'static str, delta: u64) {
+    update_counter(name, |value| value.saturating_add(delta));
+}
+
+fn update_counter(name: &'static str, update: impl FnOnce(u64) -> u64) {
+    LOCAL.with(|l| {
+        let r = &mut l.borrow_mut().recorder;
+        if !r.enabled {
+            return;
+        }
+        match r.counters.iter_mut().find(|c| c.name == name) {
+            Some(existing) => existing.value = update(existing.value),
+            None => r.counters.push(CounterRecord {
+                name: name.to_owned(),
+                value: update(0),
+            }),
+        }
+    });
+}
+
+/// Drains everything the calling thread's recorder holds into a
+/// [`PerfReport`]. Spans are listed in start order; counters in
+/// first-recorded order.
 pub fn take_report() -> PerfReport {
-    let mut collector = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-    let mut spans = std::mem::take(&mut collector.spans);
-    let counters = std::mem::take(&mut collector.counters);
-    spans.sort_by_key(|&(seq, _)| seq);
-    PerfReport {
-        spans: spans.into_iter().map(|(_, record)| record).collect(),
-        counters,
+    LOCAL.with(|l| {
+        let r = &mut l.borrow_mut().recorder;
+        let mut spans = std::mem::take(&mut r.spans);
+        spans.sort_by_key(|&(seq, _)| seq);
+        PerfReport {
+            spans: spans.into_iter().map(|(_, record)| record).collect(),
+            counters: std::mem::take(&mut r.counters),
+        }
+    })
+}
+
+/// Runs `f` with a fresh, enabled recorder on the calling thread and
+/// returns its result with everything `f` recorded; depths count from
+/// zero at `f`'s outermost span. The thread's previous recorder, with
+/// whatever it held, is restored afterwards, also when `f` unwinds. One
+/// `record` per batch job or served request is how each owns its
+/// telemetry; [`PerfReport::merge`] aggregates them.
+///
+/// ```
+/// let (sum, report) = cafemio_instrument::record(|| {
+///     let _job = cafemio_instrument::span("demo.job");
+///     cafemio_instrument::add("demo.items", 2);
+///     cafemio_instrument::add("demo.items", 3);
+///     2 + 3
+/// });
+/// assert_eq!((sum, report.spans[0].depth), (5, 0));
+/// assert_eq!(report.counter("demo.items"), Some(5));
+/// ```
+pub fn record<T>(f: impl FnOnce() -> T) -> (T, PerfReport) {
+    let fresh = Recorder {
+        enabled: true,
+        ..Recorder::default()
+    };
+    let outer = LOCAL.with(|l| std::mem::replace(&mut l.borrow_mut().recorder, fresh));
+    let _restore = Restore(Some(outer));
+    (f(), take_report())
+}
+
+/// Puts a [`record`] caller's recorder back when dropped.
+struct Restore(Option<Recorder>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        if let Some(outer) = self.0.take() {
+            LOCAL.with(|l| l.borrow_mut().recorder = outer);
+        }
     }
 }
 
@@ -161,34 +212,37 @@ struct Armed {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        STACK.with(|s| {
-            s.borrow_mut().pop();
+        let armed = self.armed.take();
+        LOCAL.with(|l| {
+            let l = &mut *l.borrow_mut();
+            l.stack.pop();
+            let Some(armed) = armed else {
+                return;
+            };
+            let r = &mut l.recorder;
+            r.depth = r.depth.saturating_sub(1);
+            let record = SpanRecord {
+                name: self.name.to_owned(),
+                depth: armed.depth,
+                nanos: nanos_since(armed.start),
+            };
+            r.spans.push((armed.seq, record));
         });
-        let Some(armed) = self.armed.take() else {
-            return;
-        };
-        let nanos = armed.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let record = SpanRecord {
-            name: self.name.to_owned(),
-            depth: armed.depth,
-            nanos,
-        };
-        let mut collector = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-        collector.spans.push((armed.seq, record));
     }
+}
+
+fn nanos_since(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The collector is global, so tests that enable it must not run
-    /// concurrently with each other; one lock serializes them.
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
-
+    /// Runs `f` with the calling thread's default recorder on and empty.
+    /// Every test thread has its own recorder, so tests cannot see each
+    /// other's spans.
     fn with_clean_collector<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         let _ = take_report();
         let out = f();
@@ -198,12 +252,12 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
-        let _guard = TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let _ = take_report();
         {
             let _s = span("off");
             counter("off", 1);
+            add("off.sum", 1);
         }
         let report = take_report();
         assert!(report.spans.is_empty());
@@ -212,7 +266,6 @@ mod tests {
 
     #[test]
     fn active_spans_track_open_scopes_even_when_disabled() {
-        let _guard = TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         assert!(active_spans().is_empty());
         let _outer = span("ctx.outer");
@@ -270,11 +323,14 @@ mod tests {
             counter("nodes", 10);
             counter("elements", 18);
             counter("nodes", 12);
+            add("checks", 3);
+            add("checks", 4);
             take_report()
         });
-        assert_eq!(report.counters.len(), 2);
+        assert_eq!(report.counters.len(), 3);
         assert_eq!(report.counter("nodes"), Some(12));
         assert_eq!(report.counter("elements"), Some(18));
+        assert_eq!(report.counter("checks"), Some(7));
     }
 
     #[test]
@@ -303,5 +359,64 @@ mod tests {
         });
         let fresh = report.spans.iter().find(|s| s.name == "fresh").unwrap();
         assert_eq!(fresh.depth, 0);
+    }
+
+    #[test]
+    fn another_threads_telemetry_stays_out_of_this_threads_reports() {
+        let emit_elsewhere = || {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    set_enabled(true);
+                    let _s = span("other.work");
+                    counter("other.gauge", 7);
+                });
+            });
+        };
+        let drained = with_clean_collector(|| {
+            emit_elsewhere();
+            take_report()
+        });
+        let ((), recorded) = record(emit_elsewhere);
+        assert_eq!(drained, PerfReport::default());
+        assert_eq!(recorded, PerfReport::default());
+    }
+
+    #[test]
+    fn record_scopes_collection_and_restores_the_enclosing_region() {
+        let (outer, inner) = with_clean_collector(|| {
+            let _before = span("outer.before");
+            let (value, inner) = record(|| {
+                let _job = span("inner.job");
+                let _stage = span("inner.stage");
+                add("inner.tally", 2);
+                42
+            });
+            assert_eq!(value, 42);
+            let unwound = std::panic::catch_unwind(|| {
+                record(|| {
+                    let _job = span("inner.panics");
+                    panic!("job bug");
+                })
+            });
+            assert!(unwound.is_err());
+            assert!(is_enabled(), "the enclosing region is still on");
+            let _after = span("outer.after");
+            drop(_after);
+            drop(_before);
+            (take_report(), inner)
+        });
+        fn layout(report: &PerfReport) -> Vec<(&str, u32)> {
+            report
+                .spans
+                .iter()
+                .map(|s| (s.name.as_str(), s.depth))
+                .collect()
+        }
+        // Inner depths restart at zero; the outer depth is untouched.
+        assert_eq!(layout(&inner), [("inner.job", 0), ("inner.stage", 1)]);
+        assert_eq!(inner.counter("inner.tally"), Some(2));
+        assert_eq!(layout(&outer), [("outer.before", 0), ("outer.after", 1)]);
+        assert!(outer.counters.is_empty());
+        assert!(active_spans().is_empty());
     }
 }

@@ -24,18 +24,23 @@
 //! drained and the merged `serve.*` + `batch.*` [`PerfReport`] returned.
 //! Every job the dispatcher accepted therefore gets exactly one
 //! response; jobs never outlive the server silently.
+//!
+//! Each accept and each connection runs under its own
+//! [`cafemio::instrument::record`] scope and merges what it recorded
+//! into the shared metrics once, when it finishes.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cafemio::batch::{BatchDispatcher, BatchJob, BatchOptions, JobOutcome, SetupFn};
 use cafemio::cache::{CacheKey, CacheStage, StableHasher, StageCache};
 use cafemio::fem::{AnalysisKind, FemError, FemModel, Material};
-use cafemio::instrument::{CounterRecord, PerfReport, SpanRecord};
+use cafemio::idlz::Capability;
+use cafemio::instrument::{add, record, span, PerfReport, SpanRecord};
 use cafemio::lint::LintConfig;
 use cafemio::mesh::TriMesh;
 use cafemio::pipeline::{PipelineBuilder, StressComponent};
@@ -190,45 +195,6 @@ impl ServeOptions {
     }
 }
 
-/// A per-request clock accumulating `serve.*` spans and counters into a
-/// private report, merged into the shared metrics once per connection so
-/// the hot path takes the metrics lock exactly once.
-#[derive(Default)]
-struct RequestClock {
-    report: PerfReport,
-}
-
-impl RequestClock {
-    fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let value = f();
-        // Clamp to >= 1 ns so a recorded span is always distinguishable
-        // from a seeded zero span in the drained report.
-        let nanos = u64::try_from(start.elapsed().as_nanos())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        match self.report.spans.iter_mut().find(|s| s.name == name) {
-            Some(span) => span.nanos = span.nanos.saturating_add(nanos),
-            None => self.report.spans.push(SpanRecord {
-                name: name.to_string(),
-                depth: 0,
-                nanos,
-            }),
-        }
-        value
-    }
-
-    fn count(&mut self, name: &str, by: u64) {
-        match self.report.counters.iter_mut().find(|c| c.name == name) {
-            Some(counter) => counter.value = counter.value.saturating_add(by),
-            None => self.report.counters.push(CounterRecord {
-                name: name.to_string(),
-                value: by,
-            }),
-        }
-    }
-}
-
 /// State shared by the accept loop, every connection thread, and the
 /// drain path.
 struct ServeShared {
@@ -241,6 +207,9 @@ struct ServeShared {
     setup: SetupFn,
     component: StressComponent,
     lint: LintConfig,
+    /// The dispatcher's capacity regime, which the inline lint checks
+    /// decks against too.
+    capability: Capability,
     /// The batch engine's stage cache, when its [`SessionConfig`] has
     /// one: response bodies are memoized here under
     /// [`CacheStage::Response`] so a byte-identical resubmission answers
@@ -252,9 +221,24 @@ struct ServeShared {
 }
 
 impl ServeShared {
-    fn merge_metrics(&self, clock: RequestClock) {
+    /// Folds one connection's or accept's recorded telemetry into the
+    /// shared metrics — the hot path takes the metrics lock once.
+    fn merge_metrics(&self, report: &PerfReport) {
         let mut metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        metrics.merge(&clock.report);
+        metrics.merge(report);
+    }
+
+    /// The seeded layout with every recorded request and the `drained`
+    /// dispatcher report merged in, and the `cache.*` counters set to the
+    /// store's own totals: merging summed the running totals.
+    fn metrics_snapshot(&self, drained: &PerfReport) -> PerfReport {
+        let mut snapshot = seeded_serve_report();
+        snapshot.merge(&self.metrics.lock().unwrap_or_else(|e| e.into_inner()));
+        snapshot.merge(drained);
+        if let Some(store) = &self.cache {
+            store.stats().publish(&mut snapshot);
+        }
+        snapshot
     }
 }
 
@@ -319,6 +303,7 @@ impl Server {
             setup: options.setup,
             component: options.component,
             lint: options.lint,
+            capability: session.capability_mode(),
             cache: session.cache_store().cloned(),
             fingerprint: session.fingerprint(),
         });
@@ -365,38 +350,26 @@ impl Server {
             // catches every protocol and pipeline error as a response.
             connection.join().expect("connection handlers never panic");
         }
-        let mut report = seeded_serve_report();
-        {
-            let metrics = self.shared.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            report.merge(&metrics);
-        }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            report.merge(&dispatcher.drain());
-        }
-        report
+        let drained = self.dispatcher.take().map(BatchDispatcher::drain);
+        self.shared.metrics_snapshot(&drained.unwrap_or_default())
     }
 }
 
 /// The zero-valued `serve.*` skeleton every drained report starts from,
 /// so quiet servers still emit the full span/counter layout.
 fn seeded_serve_report() -> PerfReport {
-    PerfReport {
-        spans: SERVE_SPANS
-            .iter()
-            .map(|name| SpanRecord {
-                name: name.to_string(),
-                depth: 0,
-                nanos: 0,
-            })
-            .collect(),
-        counters: SERVE_COUNTERS
-            .iter()
-            .map(|name| CounterRecord {
-                name: name.to_string(),
-                value: 0,
-            })
-            .collect(),
+    let mut report = PerfReport::default();
+    for name in SERVE_SPANS {
+        report.spans.push(SpanRecord {
+            name: name.to_string(),
+            depth: 0,
+            nanos: 0,
+        });
     }
+    for name in SERVE_COUNTERS {
+        report.set_counter(name, 0);
+    }
+    report
 }
 
 fn begin_shutdown(shared: &ServeShared) {
@@ -424,12 +397,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) -> Vec<JoinHandl
         match accepted {
             Ok((stream, _)) => {
                 connections.retain(|handle| !handle.is_finished());
-                let mut clock = RequestClock::default();
                 let conn_shared = Arc::clone(&shared);
-                let handle = clock.time("serve.accept", || {
+                let (handle, report) = record(|| {
+                    let _span = span("serve.accept");
                     std::thread::spawn(move || handle_connection(stream, conn_shared))
                 });
-                shared.merge_metrics(clock);
+                shared.merge_metrics(&report);
                 connections.push(handle);
             }
             // Transient accept failures (per-connection resets, fd
@@ -440,29 +413,33 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) -> Vec<JoinHandl
     }
 }
 
+/// Serves one connection under its own recorder, then folds what it
+/// recorded into the shared metrics.
 fn handle_connection(stream: TcpStream, shared: Arc<ServeShared>) {
-    let mut clock = RequestClock::default();
-    clock.count("serve.requests", 1);
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
-    respond(&stream, &shared, &mut clock);
-    shared.merge_metrics(clock);
+    let ((), report) = record(|| {
+        add("serve.requests", 1);
+        let _ = stream.set_read_timeout(Some(shared.read_timeout));
+        respond(&stream, &shared);
+    });
+    shared.merge_metrics(&report);
 }
 
 /// Reads, routes, and answers one request. Every protocol or pipeline
 /// failure becomes a typed response; only a vanished peer ends the
 /// exchange without one.
-fn respond(stream: &TcpStream, shared: &ServeShared, clock: &mut RequestClock) {
-    let parsed = clock.time("serve.parse", || {
+fn respond(stream: &TcpStream, shared: &ServeShared) {
+    let parsed = {
+        let _span = span("serve.parse");
         let mut reader = BufReader::new(stream);
         http::read_request(&mut reader, shared.max_body_bytes)
-    });
+    };
     let (status, content_type, body, extra_headers) = match parsed {
         Err(HttpError::Io(_)) => {
-            clock.count("serve.http_errors", 1);
+            add("serve.http_errors", 1);
             return;
         }
         Err(error) => {
-            clock.count("serve.http_errors", 1);
+            add("serve.http_errors", 1);
             let body = artifact::error_body(error.status(), error.kind(), None, &error.to_string());
             (
                 error.status(),
@@ -471,63 +448,37 @@ fn respond(stream: &TcpStream, shared: &ServeShared, clock: &mut RequestClock) {
                 Vec::new(),
             )
         }
-        Ok(request) => route(&request, shared, clock),
+        Ok(request) => route(&request, shared),
     };
-    clock.count("serve.responses", 1);
-    clock.time("serve.respond", || {
-        // A write failure means the peer vanished; the job (if any)
-        // still completed and was accounted, so there is nothing to do.
-        let mut writer = stream;
-        let extra: Vec<(&str, &str)> = extra_headers
-            .iter()
-            .map(|(name, value)| (name.as_str(), value.as_str()))
-            .collect();
-        let _ =
-            http::write_response_with_headers(&mut writer, status, content_type, &extra, &body);
-    });
+    add("serve.responses", 1);
+    let _span = span("serve.respond");
+    // A write failure means the peer vanished; the job (if any) still
+    // completed and was accounted, so there is nothing to do.
+    let mut writer = stream;
+    let extra: Vec<(&str, &str)> = extra_headers
+        .iter()
+        .map(|(name, value)| (name.as_str(), value.as_str()))
+        .collect();
+    let _ = http::write_response_with_headers(&mut writer, status, content_type, &extra, &body);
 }
 
 /// Response headers beyond the standard frame, e.g. `X-Cafemio-Cache`
 /// on the deck endpoints and `X-Cafemio-Fixed` on `/lint`.
 type ExtraHeaders = Vec<(String, String)>;
 
-fn route(
-    request: &Request,
-    shared: &ServeShared,
-    clock: &mut RequestClock,
-) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
+fn route(request: &Request, shared: &ServeShared) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
     if request.method == "POST" && matches!(request.path.as_str(), "/analyze" | "/contour") {
-        return analyze(request, shared, clock);
+        return analyze(request, shared);
     }
     if request.method == "POST" && request.path == "/lint" {
-        return lint_endpoint(request, shared, clock);
+        return lint_endpoint(request, shared);
     }
     let (status, content_type, body) = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => (200, "application/json", health_body(shared).into_bytes()),
+        // Cache effectiveness rides along: store totals at snapshot time,
+        // so operators can watch the hit rate climb.
         ("GET", "/metrics") => {
-            let mut metrics = {
-                let locked = shared.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                let mut snapshot = seeded_serve_report();
-                snapshot.merge(&locked);
-                snapshot
-            };
-            // Cache effectiveness rides along: store totals at snapshot
-            // time, so operators can watch the hit rate climb.
-            if let Some(store) = &shared.cache {
-                let stats = store.stats();
-                for (name, value) in [
-                    ("cache.hits", stats.hits),
-                    ("cache.misses", stats.misses),
-                    ("cache.evictions", stats.evictions),
-                    ("cache.bytes", stats.bytes),
-                    ("cache.entries", stats.entries as u64),
-                ] {
-                    metrics.counters.push(CounterRecord {
-                        name: name.to_string(),
-                        value,
-                    });
-                }
-            }
+            let metrics = shared.metrics_snapshot(&PerfReport::default());
             (200, "application/json", metrics.to_json().into_bytes())
         }
         ("POST", "/shutdown") => {
@@ -538,7 +489,7 @@ fn route(
             (200, "application/json", body.into_bytes())
         }
         (_, "/healthz" | "/metrics" | "/shutdown" | "/analyze" | "/contour" | "/lint") => {
-            clock.count("serve.http_errors", 1);
+            add("serve.http_errors", 1);
             let body = artifact::error_body(
                 405,
                 "method_not_allowed",
@@ -548,7 +499,7 @@ fn route(
             (405, "application/json", body.into_bytes())
         }
         (_, path) => {
-            clock.count("serve.http_errors", 1);
+            add("serve.http_errors", 1);
             let body =
                 artifact::error_body(404, "not_found", None, &format!("no route for {path}"));
             (404, "application/json", body.into_bytes())
@@ -567,15 +518,14 @@ fn route(
 fn lint_endpoint(
     request: &Request,
     shared: &ServeShared,
-    clock: &mut RequestClock,
 ) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
     use cafemio::lint::{apply_fixes, DeckKind, FixError, LintError};
 
-    clock.count("serve.lint_requests", 1);
+    add("serve.lint_requests", 1);
     let deck = match std::str::from_utf8(&request.body) {
         Ok(text) => text.to_string(),
         Err(_) => {
-            clock.count("serve.http_errors", 1);
+            add("serve.http_errors", 1);
             let body =
                 artifact::error_body(400, "deck_parse", None, "request body is not UTF-8 text");
             return (400, "application/json", body.into_bytes(), Vec::new());
@@ -587,21 +537,24 @@ fn lint_endpoint(
         DeckKind::Idlz
     };
     let name = request.query_param("name").unwrap_or("deck").to_string();
-    let outcome = clock.time("serve.dispatch", || apply_fixes(&deck, kind, &shared.lint));
+    let outcome = {
+        let _span = span("serve.dispatch");
+        apply_fixes(&deck, kind, &shared.lint)
+    };
     match outcome {
         Err(FixError::Parse(message)) => {
-            clock.count("serve.failed", 1);
+            add("serve.failed", 1);
             let body = artifact::error_body(400, "deck_parse", None, &message);
             (400, "application/json", body.into_bytes(), Vec::new())
         }
         Err(error @ FixError::NoConvergence { .. }) => {
-            clock.count("serve.failed", 1);
+            add("serve.failed", 1);
             let body = artifact::error_body(422, "fix_no_convergence", None, &error.to_string());
             (422, "application/json", body.into_bytes(), Vec::new())
         }
         Ok(outcome) => {
-            clock.count("serve.completed", 1);
-            clock.count("serve.fixes_applied", outcome.applied.len() as u64);
+            add("serve.completed", 1);
+            add("serve.fixes_applied", outcome.applied.len() as u64);
             let status = if LintError::from_report(&outcome.report).is_some() {
                 422
             } else {
@@ -638,24 +591,36 @@ fn health_body(shared: &ServeShared) -> String {
 /// resubmission (same endpoint, deck, name, and data-set selection)
 /// answers with the memoized body — `X-Cafemio-Cache: hit` — without
 /// taking a dispatcher slot. Only 200 responses are memoized; errors and
-/// rejections always re-run.
-fn analyze(
-    request: &Request,
-    shared: &ServeShared,
-    clock: &mut RequestClock,
-) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
+/// rejections always re-run. A `/contour` data-set selection that is not
+/// an index is refused before any of that.
+fn analyze(request: &Request, shared: &ServeShared) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
+    let data_set = request.query_param("data_set").unwrap_or("0");
+    let data_set = match (request.path == "/contour", data_set.parse::<usize>()) {
+        (false, _) => None,
+        (true, Ok(index)) => Some(index),
+        (true, Err(_)) => {
+            add("serve.http_errors", 1);
+            let body = artifact::error_body(
+                400,
+                "bad_query",
+                None,
+                "data_set must be a non-negative integer",
+            );
+            return (400, "application/json", body.into_bytes(), Vec::new());
+        }
+    };
     let cache_header = |outcome: &str| vec![("X-Cafemio-Cache".to_string(), outcome.to_string())];
     let Some(store) = shared.cache.as_ref() else {
-        let (status, content_type, body) = analyze_uncached(request, shared, clock);
+        let (status, content_type, body) = analyze_uncached(request, shared, data_set);
         return (status, content_type, body, Vec::new());
     };
     let key = response_key(request, shared);
     if let Some(hit) = store.get::<(&'static str, Vec<u8>)>(&key) {
-        clock.count("serve.completed", 1);
+        add("serve.completed", 1);
         let (content_type, body) = &*hit;
         return (200, content_type, body.clone(), cache_header("hit"));
     }
-    let (status, content_type, body) = analyze_uncached(request, shared, clock);
+    let (status, content_type, body) = analyze_uncached(request, shared, data_set);
     if status == 200 {
         let bytes = 256 + body.len() as u64;
         store.put(key, Arc::new((content_type, body.clone())), bytes);
@@ -678,17 +643,17 @@ fn response_key(request: &Request, shared: &ServeShared) -> CacheKey {
 
 /// Lints and parses inline (keeping the lint report for the response),
 /// submits through admission control, blocks on the ticket, and renders
-/// either the JSON summary (`/analyze`) or the SVG contour plot
-/// (`/contour`).
+/// either the JSON summary (`/analyze`, no `data_set`) or the SVG contour
+/// plot of data set `data_set` (`/contour`).
 fn analyze_uncached(
     request: &Request,
     shared: &ServeShared,
-    clock: &mut RequestClock,
+    data_set: Option<usize>,
 ) -> (u16, &'static str, Vec<u8>) {
     let deck = match std::str::from_utf8(&request.body) {
         Ok(text) => text.to_string(),
         Err(_) => {
-            clock.count("serve.http_errors", 1);
+            add("serve.http_errors", 1);
             let body =
                 artifact::error_body(400, "deck_parse", None, "request body is not UTF-8 text");
             return (400, "application/json", body.into_bytes());
@@ -696,36 +661,48 @@ fn analyze_uncached(
     };
     let name = request.query_param("name").unwrap_or("deck").to_string();
 
-    // Lint + parse inline: denials and parse failures answer without
-    // ever taking a dispatcher slot, and a clean parse yields the lint
-    // report the success body carries.
-    let lint_report = match clock.time("serve.parse", || {
-        PipelineBuilder::new()
-            .config(SessionConfig::new().lint(shared.lint.clone()))
-            .parse(&deck)
-    }) {
+    // Lint + parse inline, under the dispatcher's capability: denials and
+    // parse failures answer without ever taking a dispatcher slot, and a
+    // clean parse yields the lint report the success body carries. Its
+    // session telemetry is dropped: `serve.parse` times it, and the
+    // dispatched job records the deck's own `pipeline.*` and `lint.*`.
+    let parsed = {
+        let _span = span("serve.parse");
+        let (parsed, _) = record(|| {
+            PipelineBuilder::new()
+                .config(
+                    SessionConfig::new()
+                        .capability(shared.capability)
+                        .lint(shared.lint.clone()),
+                )
+                .parse(&deck)
+        });
+        parsed
+    };
+    let lint_report = match parsed {
         Ok(parsed) => parsed.lint_report().cloned(),
         Err(error) => {
-            clock.count("serve.failed", 1);
+            add("serve.failed", 1);
             let status = artifact::status_for_error(&error);
             let body = artifact::pipeline_error_body(&error);
             return (status, "application/json", body.into_bytes());
         }
     };
 
-    let outcome = clock.time("serve.dispatch", || {
+    let outcome = {
+        let _span = span("serve.dispatch");
         let job = BatchJob::with_setup_fn(name.clone(), deck, Arc::clone(&shared.setup))
             .component(shared.component);
         shared.client.submit(job).map(|ticket| ticket.wait())
-    });
+    };
     match outcome {
         Err(rejection) => {
-            clock.count("serve.rejected", 1);
+            add("serve.rejected", 1);
             let body = artifact::admission_error_body(&rejection);
             (503, "application/json", body.into_bytes())
         }
         Ok(JobOutcome::Failed(error)) => {
-            clock.count("serve.failed", 1);
+            add("serve.failed", 1);
             let status = artifact::status_for_error(&error);
             let body = artifact::pipeline_error_body(&error);
             (status, "application/json", body.into_bytes())
@@ -733,46 +710,30 @@ fn analyze_uncached(
         Ok(JobOutcome::Skipped) => {
             // The dispatcher never applies FailFast skipping, but the
             // enum is shared with run_batch; answer defensively.
-            clock.count("serve.failed", 1);
+            add("serve.failed", 1);
             let body = artifact::error_body(503, "skipped", None, "job was skipped");
             (503, "application/json", body.into_bytes())
         }
         Ok(JobOutcome::Completed(plots)) => {
-            clock.count("serve.completed", 1);
-            if request.path == "/contour" {
-                let index: usize = match request.query_param("data_set").unwrap_or("0").parse() {
-                    Ok(index) => index,
-                    Err(_) => {
-                        let body = artifact::error_body(
-                            400,
-                            "bad_query",
-                            None,
-                            "data_set must be a non-negative integer",
-                        );
-                        return (400, "application/json", body.into_bytes());
-                    }
-                };
-                match plots.get(index) {
-                    Some(plot) => {
-                        let svg = render_svg(&plot.contours.frame);
-                        (200, "image/svg+xml", svg.into_bytes())
-                    }
-                    None => {
-                        let body = artifact::error_body(
-                            404,
-                            "no_such_data_set",
-                            None,
-                            &format!(
-                                "deck has {} data set(s); no index {index}",
-                                plots.len()
-                            ),
-                        );
-                        (404, "application/json", body.into_bytes())
-                    }
+            add("serve.completed", 1);
+            match data_set.map(|index| (index, plots.get(index))) {
+                Some((_, Some(plot))) => {
+                    let svg = render_svg(&plot.contours.frame);
+                    (200, "image/svg+xml", svg.into_bytes())
                 }
-            } else {
-                let body = artifact::analysis_summary_json(&name, &plots, lint_report.as_ref());
-                (200, "application/json", body.into_bytes())
+                Some((index, None)) => {
+                    let body = artifact::error_body(
+                        404,
+                        "no_such_data_set",
+                        None,
+                        &format!("deck has {} data set(s); no index {index}", plots.len()),
+                    );
+                    (404, "application/json", body.into_bytes())
+                }
+                None => {
+                    let body = artifact::analysis_summary_json(&name, &plots, lint_report.as_ref());
+                    (200, "application/json", body.into_bytes())
+                }
             }
         }
     }
@@ -800,17 +761,5 @@ mod tests {
             .max_body_bytes(0);
         assert!(options.read_timeout_value() >= Duration::from_millis(1));
         assert_eq!(options.max_body_limit(), 1);
-    }
-
-    #[test]
-    fn request_clock_merges_repeated_spans_and_counts() {
-        let mut clock = RequestClock::default();
-        clock.time("serve.parse", || {});
-        clock.time("serve.parse", || {});
-        clock.count("serve.requests", 1);
-        clock.count("serve.requests", 1);
-        assert_eq!(clock.report.spans.len(), 1);
-        assert!(clock.report.spans[0].nanos >= 2);
-        assert_eq!(clock.report.counter("serve.requests"), Some(2));
     }
 }

@@ -8,11 +8,20 @@
 //!    every result in submission order, and never panics.
 //! 3. **Fail-fast** — the first failure stops scheduling; unstarted jobs
 //!    are reported as skipped, started ones still finish.
+//! 4. **Session parity** — a job gives the verdict a direct session
+//!    under the same `SessionConfig` gives, lint and audit included.
 
+use std::mem::Discriminant;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cafemio::batch::{run_batch, BatchOptions, BatchReport, ErrorPolicy, JobOutcome};
-use cafemio_bench::jobs::{corpus, faulted_corpus};
+use cafemio::batch::{run_batch, BatchJob, BatchOptions, BatchReport, ErrorPolicy, JobOutcome};
+use cafemio::idlz::deck::write_deck;
+use cafemio::idlz::Capability;
+use cafemio::lint::{LintCode, LintConfig, LintError, Severity};
+use cafemio::pipeline::{PipelineBuilder, PipelineError, Stage, StageError, StressComponent};
+use cafemio::SessionConfig;
+use cafemio_bench::jobs::{corpus, faulted_corpus, near_limit_spec, standard_setup};
+use cafemio_bench::mutate::base_decks;
 
 /// A printable fingerprint of a whole batch run: every outcome's full
 /// Debug rendering (f64 Debug is shortest-round-trip, so two equal
@@ -115,4 +124,71 @@ fn fail_fast_stops_scheduling_but_reports_the_failure() {
     for outcome in &report.outcomes[..first_failure] {
         assert!(matches!(outcome, JobOutcome::Completed(_)));
     }
+}
+
+/// The verdicts of one deck through a direct session and through
+/// `run_batch`, under the same config and stress component: the plot
+/// count on success, else the failing stage and the kind of its error.
+/// Whole errors differ — a batch job's span context carries its
+/// `batch.<stage>` frame.
+fn session_and_batch(
+    deck: &str,
+    component: StressComponent,
+    config: SessionConfig,
+) -> [Result<usize, (Stage, Discriminant<StageError>)>; 2] {
+    let kind = |e: &PipelineError| (e.stage(), std::mem::discriminant(e.source_error()));
+    let session = PipelineBuilder::new()
+        .component(component)
+        .config(config.clone())
+        .parse(deck)
+        .and_then(|parsed| {
+            parsed
+                .idealize()?
+                .setup(standard_setup)?
+                .solve()?
+                .recover()?
+                .contour()
+        })
+        .map(|plots| plots.len())
+        .map_err(|e| kind(&e));
+    let job = BatchJob::new("parity", deck, standard_setup).component(component);
+    let report = run_batch(&[job], &BatchOptions::new().workers(1).config(config));
+    let batch = match &report.outcomes[0] {
+        JobOutcome::Completed(plots) => Ok(plots.len()),
+        JobOutcome::Failed(error) => Err(kind(error)),
+        JobOutcome::Skipped => panic!("a collect-all run skipped its only job"),
+    };
+    [session, batch]
+}
+
+#[test]
+fn batch_lint_reads_the_capability_limits_like_a_session() {
+    let deck = write_deck(&[near_limit_spec()]).unwrap().to_text();
+    let deny = SessionConfig::new()
+        .lint(LintConfig::new().with(LintCode::GridLimitProximity, Severity::Deny));
+    let [session, batch] = session_and_batch(
+        &deck,
+        StressComponent::Effective,
+        deny.clone().capability(Capability::LargeMesh),
+    );
+    assert_eq!((session, batch), (Ok(1), Ok(1)));
+    let [session, batch] = session_and_batch(&deck, StressComponent::Effective, deny);
+    assert!(matches!(session, Err((Stage::DeckParse, _))), "{session:?}");
+    assert_eq!(batch, session);
+}
+
+#[test]
+fn batch_lint_checks_the_requested_component_like_a_session() {
+    // Plane stress produces no hoop stress: O003 at deny fails the
+    // contour stage with a lint error on both paths.
+    let config = SessionConfig::new()
+        .lint(LintConfig::new().with(LintCode::ComponentNotProduced, Severity::Deny));
+    let verdicts = session_and_batch(&base_decks()[0].1, StressComponent::Circumferential, config);
+    let lint = std::mem::discriminant(&StageError::Lint(LintError {
+        diagnostics: Vec::new(),
+    }));
+    assert_eq!(
+        verdicts,
+        [Err((Stage::Contour, lint)), Err((Stage::Contour, lint))]
+    );
 }

@@ -17,21 +17,16 @@
 //!    invariants are re-derived on the incrementally-produced mesh,
 //!    which is bit-identical to a cold idealization of the edited spec.
 //!
-//! The instrument collector is process-global and tests in one binary
-//! run concurrently, so every test here serializes on one lock — a
-//! neighbour's spans would otherwise bleed into the drained reports.
+//! The instrumented runs each execute under their own
+//! `cafemio_instrument::record` scope, which captures only the calling
+//! thread, so tests running concurrently cannot bleed spans into each
+//! other's reports.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use cafemio::prelude::*;
 use cafemio_bench::jobs::standard_setup;
 use cafemio_bench::mutate::{base_decks, mutate, unconstrained_model, Fault, SplitMix64};
-
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One full staged session over deck text: parse through contouring of
 /// the effective stress, with the caller's config and contour options.
@@ -80,7 +75,6 @@ fn run_faulted(
 
 #[test]
 fn warm_reruns_are_bit_identical_to_cold_across_the_catalog() {
-    let _guard = lock();
     let options = ContourOptions::new();
     for (name, text) in &base_decks() {
         let store = Arc::new(StageCache::new());
@@ -119,7 +113,6 @@ fn warm_reruns_are_bit_identical_to_cold_across_the_catalog() {
 
 #[test]
 fn mutated_decks_fail_identically_warm_and_cold_and_never_poison_the_store() {
-    let _guard = lock();
     let options = ContourOptions::new();
     let mut rng = SplitMix64::new(0xCAFE_F00D);
     for (name, text) in &base_decks() {
@@ -167,7 +160,6 @@ fn mutated_decks_fail_identically_warm_and_cold_and_never_poison_the_store() {
 
 #[test]
 fn a_contour_only_edit_reuses_every_upstream_artifact() {
-    let _guard = lock();
     let (name, text) = &base_decks()[0];
     let store = Arc::new(StageCache::new());
     let cached = SessionConfig::new().cache(Arc::clone(&store));
@@ -175,14 +167,10 @@ fn a_contour_only_edit_reuses_every_upstream_artifact() {
         .unwrap_or_else(|e| panic!("{name}: cold run failed: {e}"));
     let before = store.stats();
 
-    // Edit only the contour request and rerun warm, with the collector
-    // watching.
+    // Edit only the contour request and rerun warm, recording the run.
     let edited = ContourOptions::new().interval(750.0);
-    cafemio_instrument::set_enabled(true);
-    let _ = cafemio_instrument::take_report();
-    let warm = run_full(&cached, text, &edited).unwrap();
-    let report = cafemio_instrument::take_report();
-    cafemio_instrument::set_enabled(false);
+    let (warm, report) = cafemio_instrument::record(|| run_full(&cached, text, &edited));
+    let warm = warm.unwrap();
     let after = store.stats();
 
     // The solver never ran: parse, idealize, solve, and stress recovery
@@ -262,7 +250,6 @@ fn nudged_specs(spec: &IdealizationSpec) -> Vec<IdealizationSpec> {
 
 #[test]
 fn audit_mode_re_derives_invariants_on_incrementally_produced_meshes() {
-    let _guard = lock();
     // A catalog structure with several subdivisions and at least one
     // straight shape line to edit.
     let spec = cafemio_models::catalog()
@@ -295,13 +282,10 @@ fn audit_mode_re_derives_invariants_on_incrementally_produced_meshes() {
     // Cold run seeds the store and its incremental region table.
     run_specs(&audited, &spec).expect("cold idealization under strict audit");
 
-    // The edited spec re-idealizes incrementally; the collector proves
-    // both the reuse and the audit re-check.
-    cafemio_instrument::set_enabled(true);
-    let _ = cafemio_instrument::take_report();
-    let warm = run_specs(&audited, &edited).expect("incremental idealization under strict audit");
-    let report = cafemio_instrument::take_report();
-    cafemio_instrument::set_enabled(false);
+    // The edited spec re-idealizes incrementally; the recorded run
+    // proves both the reuse and the audit re-check.
+    let (warm, report) = cafemio_instrument::record(|| run_specs(&audited, &edited));
+    let warm = warm.expect("incremental idealization under strict audit");
 
     assert!(
         report.counter("idlz.incremental.reused_subdivisions").unwrap_or(0) >= 1,

@@ -145,18 +145,15 @@ fn solver_is_deterministic() {
     }
 }
 
-/// Runs `f` with telemetry on and returns its result together with the
-/// `fem.cg.iterations` counter it published.
+/// Runs `f` under its own recorder and returns its result together with
+/// the `fem.cg.iterations` counter it published.
 fn with_cg_iterations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    use cafemio::instrument::{set_enabled, take_report};
-    set_enabled(true);
-    let _ = take_report();
-    let out = f();
-    let iterations = take_report().counter("fem.cg.iterations");
-    set_enabled(false);
+    let (out, report) = cafemio::instrument::record(f);
     (
         out,
-        iterations.expect("a sparse solve publishes fem.cg.iterations"),
+        report
+            .counter("fem.cg.iterations")
+            .expect("a sparse solve publishes fem.cg.iterations"),
     )
 }
 

@@ -11,14 +11,21 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use cafemio::audit::AuditOptions;
 use cafemio::batch::BatchOptions;
 use cafemio::fem::{CgOptions, SolverBackend};
-use cafemio::lint::LintConfig;
+use cafemio::idlz::deck::write_deck;
+use cafemio::idlz::Capability;
+use cafemio::instrument::PerfReport;
+use cafemio::lint::{LintCode, LintConfig, Severity};
 use cafemio::pipeline::PipelineBuilder;
 use cafemio::SessionConfig;
+use cafemio_bench::jobs::near_limit_spec;
 use cafemio_bench::mutate::base_decks;
 use cafemio_serve::http::percent_encode;
-use cafemio_serve::{analysis_summary_json, default_setup, ServeOptions, Server};
+use cafemio_serve::{
+    analysis_summary_json, default_setup, ServeOptions, Server, SERVE_COUNTERS, SERVE_SPANS,
+};
 
 /// One blocking HTTP exchange: connect, send, read to EOF, return the
 /// status code, raw header block, and body text.
@@ -92,7 +99,15 @@ fn unparseable_deck_answers_400_with_typed_body() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"status\": 400"), "{body}");
     assert!(body.contains("\"kind\": \"deck_parse\""), "{body}");
-    server.shutdown();
+    // An unusable query is refused before the deck is even parsed.
+    let (_, deck) = good_deck();
+    let (status, body) = request(addr, "POST", "/contour?data_set=abc", deck.as_bytes());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\": \"bad_query\""), "{body}");
+    let report = server.shutdown();
+    assert_eq!(report.counter("batch.jobs"), Some(0));
+    assert_eq!(report.counter("serve.completed"), Some(0));
+    assert_eq!(report.counter("serve.http_errors"), Some(1));
 }
 
 #[test]
@@ -422,4 +437,65 @@ fn uncached_server_sends_no_cache_header() {
     assert_eq!(status, 200, "{body}");
     assert_eq!(header_value(&head, "X-Cafemio-Cache"), None, "{head}");
     server.shutdown();
+}
+
+#[test]
+fn inline_lint_checks_decks_against_the_dispatchers_capability() {
+    let deck = write_deck(&[near_limit_spec()]).unwrap().to_text();
+    for (capability, expected) in [(Capability::LargeMesh, 200), (Capability::Historical, 422)] {
+        let server = Server::start(
+            ServeOptions::new()
+                .lint(LintConfig::new().with(LintCode::GridLimitProximity, Severity::Deny))
+                .batch(BatchOptions::new().config(SessionConfig::new().capability(capability))),
+        )
+        .expect("start");
+        let (status, body) = request(server.local_addr(), "POST", "/analyze", deck.as_bytes());
+        assert_eq!(status, expected, "{capability:?}: {body}");
+        server.shutdown();
+    }
+}
+
+#[test]
+fn shutdown_reports_each_seeded_name_once_and_the_stores_cache_totals() {
+    let store = Arc::new(cafemio::cache::StageCache::new());
+    let session = SessionConfig::new()
+        .audit(AuditOptions::new())
+        .lint(LintConfig::new())
+        .cache(Arc::clone(&store));
+    let options = ServeOptions::new().batch(BatchOptions::new().config(session));
+    // A server that served nothing reports exactly its seeded layout.
+    let seeded = Server::start(options.clone()).expect("start").shutdown();
+    let server = Server::start(options).expect("start");
+    let addr = server.local_addr();
+    for (name, deck) in base_decks().iter().take(2) {
+        let target = format!("/analyze?name={}", percent_encode(name));
+        for _ in 0..2 {
+            assert_eq!(request(addr, "POST", &target, deck.as_bytes()).0, 200);
+        }
+    }
+    // A trailing blank card is one warning: the dispatched job counts it
+    // once, and the front end's inline lint of the same deck adds nothing.
+    let (_, deck) = good_deck();
+    let warned = format!("{deck}\n");
+    assert_eq!(request(addr, "POST", "/analyze", warned.as_bytes()).0, 200);
+    let metrics = PerfReport::from_json(&request(addr, "GET", "/metrics", b"").1).unwrap();
+    let report = server.shutdown();
+
+    let records = |report: &PerfReport, name: &str| {
+        let spans = report.spans.iter().filter(|s| s.name == name).count();
+        spans + report.counters.iter().filter(|c| c.name == name).count()
+    };
+    let seeds = seeded.spans.iter().map(|s| &s.name);
+    for name in seeds.chain(seeded.counters.iter().map(|c| &c.name)) {
+        assert_eq!(records(&report, name), 1, "{name}");
+    }
+    let serve_names = SERVE_SPANS.iter().chain(&SERVE_COUNTERS);
+    for name in serve_names.chain(&["cache.hits"]) {
+        assert_eq!(records(&metrics, name), 1, "/metrics {name}");
+    }
+    let stats = store.stats();
+    assert!(stats.hits >= 2, "{stats:?}");
+    assert_eq!(report.counter("cache.hits"), Some(stats.hits));
+    assert_eq!(report.counter("cache.misses"), Some(stats.misses));
+    assert_eq!(report.counter("lint.diagnostics"), Some(1));
 }

@@ -11,7 +11,7 @@ use cafemio::lint::{LintCode, LintConfig, Severity};
 use cafemio::models::catalog;
 use cafemio::pipeline::{PipelineBuilder, Stage, StageError};
 use cafemio::SessionConfig;
-use cafemio_bench::jobs::standard_setup;
+use cafemio_bench::jobs::{near_limit_spec, standard_setup};
 
 /// The iterative backend must agree with the skyline factorization to
 /// the audit's iterative bound (1e-8) on every structure of the paper —
@@ -94,24 +94,6 @@ fn cg_non_convergence_is_a_typed_error() {
         message.starts_with("conjugate gradient did not converge in 10 iterations"),
         "{message}"
     );
-}
-
-/// A spec legal under Table 2 but within 10 % of the horizontal grid
-/// limit (38 of 40). D004 must fire under the historical capability and
-/// stay silent under `LargeMesh` — the lint reads the *active* limits
-/// the pipeline installs, not Table 2 unconditionally.
-fn near_limit_spec() -> IdealizationSpec {
-    let mut spec = IdealizationSpec::new("NEAR THE GRID LIMIT");
-    spec.add_subdivision(Subdivision::rectangular(1, (0, 0), (38, 2)).unwrap());
-    spec.add_shape_line(
-        1,
-        ShapeLine::straight((0, 0), (38, 0), Point::new(0.0, 0.0), Point::new(38.0, 0.0)),
-    );
-    spec.add_shape_line(
-        1,
-        ShapeLine::straight((0, 2), (38, 2), Point::new(0.0, 1.0), Point::new(38.0, 1.0)),
-    );
-    spec
 }
 
 #[test]
