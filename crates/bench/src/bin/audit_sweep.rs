@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut unexplained = Vec::new();
     for ((expected, job), outcome) in corpus.iter().zip(&report.outcomes) {
         match (expected, outcome) {
-            (None, JobOutcome::Completed(_)) => clean_ok += 1,
+            (None, JobOutcome::Completed { .. }) => clean_ok += 1,
             (None, JobOutcome::Failed(err)) => {
                 unexplained.push(format!("{}: clean deck failed: {err}", job.name()));
             }
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                     err.stage()
                 ));
             }
-            (Some(stage), JobOutcome::Completed(_)) => {
+            (Some(stage), JobOutcome::Completed { .. }) => {
                 unexplained.push(format!(
                     "{}: fault targeting {stage:?} escaped the audit net",
                     job.name()

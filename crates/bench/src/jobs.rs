@@ -114,7 +114,7 @@ mod tests {
         let report = run_batch(&jobs, &BatchOptions::new().workers(2));
         for (job, outcome) in jobs.iter().zip(&report.outcomes) {
             assert!(
-                matches!(outcome, JobOutcome::Completed(_)),
+                matches!(outcome, JobOutcome::Completed { .. }),
                 "{}: {outcome:?}",
                 job.name()
             );

@@ -78,7 +78,7 @@ use cafemio_ospl::ContourOptions;
 
 use crate::audit::AuditOptions;
 use crate::config::SessionConfig;
-use crate::lint::LintConfig;
+use crate::lint::{LintConfig, LintReport};
 use crate::pipeline::{PipelineBuilder, PipelineError, StageError, StressComponent, StressPlot};
 
 /// The model-setup callback a job carries: boundary conditions and loads
@@ -300,8 +300,14 @@ impl BatchOptions {
 /// [`BatchReport::outcomes`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome {
-    /// The job ran end to end: one [`StressPlot`] per data set.
-    Completed(Vec<StressPlot>),
+    /// The job ran end to end.
+    Completed {
+        /// One [`StressPlot`] per data set.
+        plots: Vec<StressPlot>,
+        /// The session's lint report, when its [`SessionConfig`] lints:
+        /// warn-severity diagnostics that did not stop the job.
+        lint: Option<LintReport>,
+    },
     /// The job failed; the error carries its stage attribution.
     Failed(PipelineError),
     /// Under [`ErrorPolicy::FailFast`], the job never started because an
@@ -313,7 +319,7 @@ impl JobOutcome {
     /// The job's plots, if it completed.
     pub fn plots(&self) -> Option<&[StressPlot]> {
         match self {
-            JobOutcome::Completed(plots) => Some(plots),
+            JobOutcome::Completed { plots, .. } => Some(plots),
             _ => None,
         }
     }
@@ -347,7 +353,7 @@ impl BatchReport {
     pub fn completed(&self) -> usize {
         self.outcomes
             .iter()
-            .filter(|o| matches!(o, JobOutcome::Completed(_)))
+            .filter(|o| matches!(o, JobOutcome::Completed { .. }))
             .count()
     }
 
@@ -393,8 +399,12 @@ pub const STAGE_SPANS: [&str; 6] = [
 
 /// Runs one job as the plain staged session its [`SessionConfig`]
 /// describes — lint, audit and cache included — with each stage
-/// transition under its `batch.<stage>` span.
-fn execute(job: &BatchJob, config: &SessionConfig) -> Result<Vec<StressPlot>, PipelineError> {
+/// transition under its `batch.<stage>` span. Returns the plots and the
+/// parse stage's lint report.
+fn execute(
+    job: &BatchJob,
+    config: &SessionConfig,
+) -> Result<(Vec<StressPlot>, Option<LintReport>), PipelineError> {
     let builder = PipelineBuilder::new()
         .component(job.component)
         .contour_options(job.options.clone())
@@ -403,6 +413,7 @@ fn execute(job: &BatchJob, config: &SessionConfig) -> Result<Vec<StressPlot>, Pi
         let _span = span("batch.parse");
         builder.parse(&job.deck)?
     };
+    let lint = parsed.lint_report().cloned();
     let idealized = {
         let _span = span("batch.idealize");
         parsed.idealize()?
@@ -420,7 +431,7 @@ fn execute(job: &BatchJob, config: &SessionConfig) -> Result<Vec<StressPlot>, Pi
         solved.recover()?
     };
     let _span = span("batch.contour");
-    recovered.contour()
+    Ok((recovered.contour()?, lint))
 }
 
 /// The zero-valued layout a drained report starts from, so its shape
@@ -953,12 +964,12 @@ fn worker_loop(shared: &DispatcherShared) -> PerfReport {
                 Err(_) => add("batch.failed", 1),
             }
             outcome.map(|result| match result {
-                Ok(plots) => JobOutcome::Completed(plots),
+                Ok((plots, lint)) => JobOutcome::Completed { plots, lint },
                 Err(err) => JobOutcome::Failed(err),
             })
         });
         perf.merge(&report);
-        if shared.fail_fast && !matches!(outcome, Ok(JobOutcome::Completed(_))) {
+        if shared.fail_fast && !matches!(outcome, Ok(JobOutcome::Completed { .. })) {
             shared.abort();
         }
         // Free the admission slot before publishing, so a caller woken
@@ -1122,7 +1133,7 @@ mod tests {
             assert_eq!(counter("batch.failed"), report.failed() as u64);
             assert_eq!(counter("batch.skipped"), report.skipped() as u64);
             assert_eq!(counter("batch.workers"), workers.min(jobs.len()) as u64);
-            assert!(matches!(report.outcomes[0], JobOutcome::Completed(_)));
+            assert!(matches!(report.outcomes[0], JobOutcome::Completed { .. }));
             assert!(matches!(report.outcomes[1], JobOutcome::Failed(_)));
         }
     }
@@ -1158,7 +1169,7 @@ mod tests {
                 .workers(2)
                 .error_policy(ErrorPolicy::FailFast),
         );
-        assert!(matches!(report.outcomes[0], JobOutcome::Completed(_)));
+        assert!(matches!(report.outcomes[0], JobOutcome::Completed { .. }));
         assert!(matches!(report.outcomes[1], JobOutcome::Failed(_)));
         assert!(report.outcomes[2..].iter().all(|o| *o == JobOutcome::Skipped));
         assert_eq!(setups.load(Ordering::SeqCst), 0);

@@ -4,9 +4,10 @@
 //! every response), so this module only needs to parse a request line, a
 //! header block, and a `Content-Length`-framed body. Every way a client
 //! can hand us garbage — an over-long header block, a missing length on
-//! a POST, a body above the configured cap, a read timeout — maps to a
-//! typed [`HttpError`] that the server turns into a status code; nothing
-//! in here panics on wire input.
+//! a POST, framing the reader does not support (`Transfer-Encoding`, or
+//! more than one `Content-Length`), a body above the configured cap, a
+//! read timeout — maps to a typed [`HttpError`] that the server turns
+//! into a status code; nothing in here panics on wire input.
 
 use std::io::{self, Read, Write};
 
@@ -253,6 +254,13 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
+    // RFC 9112 §6.3: a body framed by anything but one Content-Length
+    // has no length this reader can trust.
+    let count = |name: &str| headers.iter().filter(|(k, _)| k == name).count();
+    if count("transfer-encoding") > 0 || count("content-length") > 1 {
+        let what = "the body is not framed by exactly one Content-Length";
+        return Err(HttpError::Malformed(what.into()));
+    }
     let content_length = headers
         .iter()
         .find(|(k, _)| k == "content-length")
@@ -404,6 +412,18 @@ mod tests {
     fn bad_content_length_is_malformed() {
         let err = parse("POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n").expect_err("must reject");
         assert!(matches!(err, HttpError::Malformed(_)));
+    }
+
+    #[test]
+    fn a_second_content_length_is_malformed() {
+        let err = parse("POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 400\r\n\r\n");
+        assert!(matches!(err, Err(HttpError::Malformed(_))), "{err:?}");
+    }
+
+    #[test]
+    fn a_transfer_encoded_body_is_malformed() {
+        let err = parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+        assert!(matches!(err, Err(HttpError::Malformed(_))), "{err:?}");
     }
 
     #[test]

@@ -1,26 +1,26 @@
-//! The daemon: a thread-per-connection HTTP front end over a persistent
-//! [`BatchDispatcher`].
+//! The daemon: an HTTP front end over a persistent [`BatchDispatcher`],
+//! served by a fixed pool of connection workers.
 //!
 //! ## Lifecycle
 //!
 //! [`Server::start`] binds the listener, boots the dispatcher's worker
-//! pool, and spawns the accept loop; the calling thread keeps the
-//! [`Server`] value as the drain capability. Each connection is handled
-//! on its own thread: one request, one `Connection: close` response.
-//! A request that reaches `POST /analyze` or `POST /contour` is linted
-//! and parsed inline (cheap, and it gives the response its lint report),
-//! then submitted to the dispatcher; the connection thread blocks on the
-//! job ticket, so batch backpressure (`max_in_flight`) is what bounds
-//! service concurrency — a submit against a full dispatcher returns 503
-//! immediately rather than queueing without bound.
+//! pool and `max_in_flight + 1` connection workers, and spawns the accept
+//! loop, which hands each connection to the workers through a queue as
+//! deep as the pool: one request, one `Connection: close` response. A
+//! connection that finds the queue full is answered `503 saturated` by
+//! the accept loop, so the thread count never grows with the connections.
+//! `POST /analyze` and `POST /contour` submit the deck as it came: the
+//! job's session does the one parse and the one lint. The worker blocks
+//! on the job ticket, so batch backpressure (`max_in_flight`) bounds the
+//! jobs — a submit against a full dispatcher returns 503 immediately.
 //!
 //! ## Graceful drain
 //!
 //! [`Server::shutdown`] (or a `POST /shutdown` request) flips the drain
-//! flag. From that point the accept loop answers new connections with
-//! 503 and exits; connections already being handled run to completion —
-//! their submitted jobs are finished by the worker pool, each ticket is
-//! resolved, and each response is written. Only then is the dispatcher
+//! flag. The accept loop answers the next connection with 503 and
+//! returns, which closes the queue; the connection workers finish every
+//! connection queued or in hand — each job runs, each ticket resolves,
+//! each response is written — and exit. Only then is the dispatcher
 //! drained and the merged `serve.*` + `batch.*` [`PerfReport`] returned.
 //! Every job the dispatcher accepted therefore gets exactly one
 //! response; jobs never outlive the server silently.
@@ -29,21 +29,22 @@
 //! [`cafemio::instrument::record`] scope and merges what it recorded
 //! into the shared metrics once, when it finishes.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cafemio::batch::{BatchDispatcher, BatchJob, BatchOptions, JobOutcome, SetupFn};
-use cafemio::cache::{CacheKey, CacheStage, StableHasher, StageCache};
+use cafemio::cache::{CacheKey, CacheStage, StableHasher};
 use cafemio::fem::{AnalysisKind, FemError, FemModel, Material};
-use cafemio::idlz::Capability;
 use cafemio::instrument::{add, record, span, PerfReport, SpanRecord};
 use cafemio::lint::LintConfig;
 use cafemio::mesh::TriMesh;
-use cafemio::pipeline::{PipelineBuilder, StressComponent};
+use cafemio::pipeline::StressComponent;
 use cafemio::plotter::render_svg;
 use cafemio::SessionConfig;
 
@@ -101,7 +102,7 @@ pub fn default_setup(mesh: &TriMesh) -> Result<FemModel, FemError> {
 /// Configuration for [`Server::start`]. Defaults: bind `127.0.0.1:0`
 /// (ephemeral port), 10-second read timeout, 1 MiB body cap, default
 /// batch options, [`default_setup`] boundary conditions, effective
-/// stress, default lint configuration.
+/// stress.
 #[derive(Clone)]
 pub struct ServeOptions {
     batch: BatchOptions,
@@ -110,7 +111,6 @@ pub struct ServeOptions {
     max_body_bytes: usize,
     setup: SetupFn,
     component: StressComponent,
-    lint: LintConfig,
 }
 
 impl Default for ServeOptions {
@@ -129,12 +129,13 @@ impl ServeOptions {
             max_body_bytes: 1024 * 1024,
             setup: Arc::new(default_setup),
             component: StressComponent::Effective,
-            lint: LintConfig::new(),
         }
     }
 
     /// Sets the batch-engine options (workers, `max_in_flight`, solver,
-    /// audit, lint, capability) the dispatcher runs with.
+    /// audit, lint, capability) the dispatcher runs with. Its session
+    /// lint is the service's only lint, [`LintConfig::new`] when unset;
+    /// `max_in_flight` also sizes the connection workers.
     pub fn batch(mut self, batch: BatchOptions) -> ServeOptions {
         self.batch = batch;
         self
@@ -172,13 +173,6 @@ impl ServeOptions {
         self
     }
 
-    /// Sets the lint configuration applied to every submitted deck;
-    /// denials answer 422 without reaching the worker pool.
-    pub fn lint(mut self, lint: LintConfig) -> ServeOptions {
-        self.lint = lint;
-        self
-    }
-
     /// The configured batch options.
     pub fn batch_options(&self) -> &BatchOptions {
         &self.batch
@@ -195,26 +189,26 @@ impl ServeOptions {
     }
 }
 
-/// State shared by the accept loop, every connection thread, and the
+/// State shared by the accept loop, every connection worker, and the
 /// drain path.
 struct ServeShared {
     client: cafemio::batch::BatchClient,
     metrics: Mutex<PerfReport>,
     shutdown: AtomicBool,
+    /// Connections with a connection worker or queued for one, and their
+    /// cap: the workers plus a queue as deep.
+    open: AtomicUsize,
+    max_open: usize,
     addr: SocketAddr,
     read_timeout: Duration,
     max_body_bytes: usize,
     setup: SetupFn,
     component: StressComponent,
-    lint: LintConfig,
-    /// The dispatcher's capacity regime, which the inline lint checks
-    /// decks against too.
-    capability: Capability,
-    /// The batch engine's stage cache, when its [`SessionConfig`] has
-    /// one: response bodies are memoized here under
+    /// The dispatcher's session: its lint config serves `/lint`, and its
+    /// stage cache, when it has one, memoizes response bodies under
     /// [`CacheStage::Response`] so a byte-identical resubmission answers
     /// without taking a dispatcher slot.
-    cache: Option<Arc<StageCache>>,
+    session: SessionConfig,
     /// The session fingerprint of the dispatcher's config — the second
     /// half of every response cache key.
     fingerprint: u64,
@@ -235,7 +229,7 @@ impl ServeShared {
         let mut snapshot = seeded_serve_report();
         snapshot.merge(&self.metrics.lock().unwrap_or_else(|e| e.into_inner()));
         snapshot.merge(drained);
-        if let Some(store) = &self.cache {
+        if let Some(store) = self.session.cache_store() {
             store.stats().publish(&mut snapshot);
         }
         snapshot
@@ -268,13 +262,15 @@ impl ServerHandle {
     }
 }
 
-/// The running service. Dropping it without calling
-/// [`shutdown`](Server::shutdown) leaks the worker threads for the
-/// process lifetime; long-running daemons should always drain.
+/// The running service; its thread count is fixed at [`start`](Server::start).
+/// Dropping it without calling [`shutdown`](Server::shutdown) leaks the
+/// threads for the process lifetime; long-running daemons should always drain.
 pub struct Server {
     shared: Arc<ServeShared>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    dispatcher: Option<BatchDispatcher>,
+    /// The accept loop first, then the connection workers: the order
+    /// [`shutdown`](Server::shutdown) joins them in.
+    threads: Vec<JoinHandle<()>>,
+    dispatcher: BatchDispatcher,
 }
 
 impl std::fmt::Debug for Server {
@@ -287,32 +283,44 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listener, boots the dispatcher, and starts accepting.
+    /// Binds the listener, boots the dispatcher and the connection workers, and starts accepting.
     pub fn start(options: ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&options.addr)?;
         let addr = listener.local_addr()?;
-        let session = options.batch.session_config().clone();
-        let dispatcher = BatchDispatcher::start(options.batch);
+        let mut session = options.batch.session_config().clone();
+        if session.lint_options().is_none() {
+            session = session.lint(LintConfig::new());
+        }
+        let connection_workers = options.batch.in_flight_bound() + 1;
+        let dispatcher = BatchDispatcher::start(options.batch.config(session.clone()));
         let shared = Arc::new(ServeShared {
             client: dispatcher.client(),
             metrics: Mutex::new(PerfReport::default()),
             shutdown: AtomicBool::new(false),
+            open: AtomicUsize::new(0),
+            max_open: 2 * connection_workers,
             addr,
             read_timeout: options.read_timeout,
             max_body_bytes: options.max_body_bytes,
             setup: options.setup,
             component: options.component,
-            lint: options.lint,
-            capability: session.capability_mode(),
-            cache: session.cache_store().cloned(),
             fingerprint: session.fingerprint(),
+            session,
         });
+        let (queue, queued) = mpsc::channel();
+        let queued = Arc::new(Mutex::new(queued));
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));
+        let mut threads = vec![std::thread::spawn(move || {
+            accept_loop(&listener, queue, &accept_shared);
+        })];
+        threads.extend((0..connection_workers).map(|_| {
+            let (queued, shared) = (Arc::clone(&queued), Arc::clone(&shared));
+            std::thread::spawn(move || connection_worker(&queued, &shared))
+        }));
         Ok(Server {
             shared,
-            accept: Some(accept),
-            dispatcher: Some(dispatcher),
+            threads,
+            dispatcher,
         })
     }
 
@@ -334,24 +342,19 @@ impl Server {
     }
 
     /// Gracefully drains the service and returns the merged report:
-    /// stops accepting, finishes every in-flight connection and job,
-    /// drains the worker pool, and flushes the `serve.*` spans and
-    /// counters alongside the batch engine's own `batch.*` layout.
-    pub fn shutdown(mut self) -> PerfReport {
+    /// stops accepting, finishes every queued and in-flight connection
+    /// and job, drains the worker pool, and flushes the `serve.*` spans
+    /// and counters alongside the batch engine's own `batch.*` layout.
+    pub fn shutdown(self) -> PerfReport {
         begin_shutdown(&self.shared);
-        let connections = match self.accept.take() {
-            // invariant: the accept loop never panics — every branch in
-            // accept_loop handles its errors; join can only Err on panic.
-            Some(handle) => handle.join().expect("accept loop never panics"),
-            None => Vec::new(),
-        };
-        for connection in connections {
-            // invariant: connection handlers never panic — handle_connection
-            // catches every protocol and pipeline error as a response.
-            connection.join().expect("connection handlers never panic");
+        for thread in self.threads {
+            // invariant: neither the accept loop nor a connection worker
+            // panics — every protocol and pipeline error becomes a
+            // response, and a worker catches a job's resumed panic.
+            thread.join().expect("serve threads never panic");
         }
-        let drained = self.dispatcher.take().map(BatchDispatcher::drain);
-        self.shared.metrics_snapshot(&drained.unwrap_or_default())
+        let drained = self.dispatcher.drain();
+        self.shared.metrics_snapshot(&drained)
     }
 }
 
@@ -381,29 +384,34 @@ fn begin_shutdown(shared: &ServeShared) {
     let _ = TcpStream::connect(shared.addr);
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) -> Vec<JoinHandle<()>> {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+/// Hands each accepted connection to the connection workers, up to
+/// `max_open` unanswered at once (a worker slow to wake is not a full
+/// queue). Returning drops `queue`: the workers exit once it is empty.
+fn accept_loop(listener: &TcpListener, queue: Sender<TcpStream>, shared: &ServeShared) {
     loop {
         let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             // Drain mode: answer the final accepted connection (possibly
             // the shutdown waker, which never reads it) with 503 and stop.
-            if let Ok((mut stream, _)) = accepted {
-                let body = artifact::error_body(503, "draining", None, "service is draining");
-                let _ = http::write_response(&mut stream, 503, "application/json", body.as_bytes());
+            if let Ok((stream, _)) = accepted {
+                refuse(stream, "draining", "service is draining", shared);
             }
-            return connections;
+            return;
         }
         match accepted {
             Ok((stream, _)) => {
-                connections.retain(|handle| !handle.is_finished());
-                let conn_shared = Arc::clone(&shared);
-                let (handle, report) = record(|| {
+                let ((), report) = record(|| {
                     let _span = span("serve.accept");
-                    std::thread::spawn(move || handle_connection(stream, conn_shared))
+                    if shared.open.fetch_add(1, Ordering::SeqCst) < shared.max_open {
+                        // Cannot fail: the workers outlive the sender.
+                        let _ = queue.send(stream);
+                    } else {
+                        shared.open.fetch_sub(1, Ordering::SeqCst);
+                        add("serve.rejected", 1);
+                        refuse(stream, "saturated", "the connection queue is full", shared);
+                    }
                 });
                 shared.merge_metrics(&report);
-                connections.push(handle);
             }
             // Transient accept failures (per-connection resets, fd
             // pressure) are not fatal to the loop; back off briefly so a
@@ -413,13 +421,40 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) -> Vec<JoinHandl
     }
 }
 
+/// Answers a connection no worker will serve with a typed 503, then
+/// discards the input already received: closing over unread input
+/// resets the connection, and the client would lose the answer.
+fn refuse(mut stream: TcpStream, kind: &str, message: &str, shared: &ServeShared) {
+    let body = artifact::error_body(503, kind, None, message);
+    let _ = http::write_response(&mut stream, 503, "application/json", body.as_bytes());
+    let received = (http::MAX_HEAD_BYTES + shared.max_body_bytes) as u64;
+    let _ = stream.set_nonblocking(true);
+    let _ = std::io::copy(&mut stream.take(received), &mut std::io::sink());
+}
+
+/// One connection worker: serves queued connections one at a time until
+/// the accept loop has returned and the queue is empty.
+fn connection_worker(queued: &Mutex<Receiver<TcpStream>>, shared: &ServeShared) {
+    loop {
+        // The lock is held only while waiting for the next connection.
+        let next = queued.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let Ok(stream) = next else { return };
+        // A panicking setup closure resumes through its job ticket here:
+        // it costs that connection its response, not the pool a worker.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(&stream, shared)));
+        // Free the slot before the connection closes, so a client that
+        // has read its answer finds it free.
+        shared.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Serves one connection under its own recorder, then folds what it
 /// recorded into the shared metrics.
-fn handle_connection(stream: TcpStream, shared: Arc<ServeShared>) {
+fn handle_connection(stream: &TcpStream, shared: &ServeShared) {
     let ((), report) = record(|| {
         add("serve.requests", 1);
         let _ = stream.set_read_timeout(Some(shared.read_timeout));
-        respond(&stream, &shared);
+        respond(stream, shared);
     });
     shared.merge_metrics(&report);
 }
@@ -440,13 +475,7 @@ fn respond(stream: &TcpStream, shared: &ServeShared) {
         }
         Err(error) => {
             add("serve.http_errors", 1);
-            let body = artifact::error_body(error.status(), error.kind(), None, &error.to_string());
-            (
-                error.status(),
-                "application/json",
-                body.into_bytes(),
-                Vec::new(),
-            )
+            error_response(error.status(), error.kind(), &error.to_string())
         }
         Ok(request) => route(&request, shared),
     };
@@ -462,74 +491,74 @@ fn respond(stream: &TcpStream, shared: &ServeShared) {
     let _ = http::write_response_with_headers(&mut writer, status, content_type, &extra, &body);
 }
 
-/// Response headers beyond the standard frame, e.g. `X-Cafemio-Cache`
-/// on the deck endpoints and `X-Cafemio-Fixed` on `/lint`.
-type ExtraHeaders = Vec<(String, String)>;
+/// Status, content type, body, and the headers beyond the standard frame
+/// (`X-Cafemio-Cache` on the deck endpoints, `X-Cafemio-Fixed` on
+/// `/lint`). The body is shared so a response-cache hit is not copied.
+type Response = (u16, &'static str, Arc<Vec<u8>>, Vec<(String, String)>);
 
-fn route(request: &Request, shared: &ServeShared) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
-    if request.method == "POST" && matches!(request.path.as_str(), "/analyze" | "/contour") {
-        return analyze(request, shared);
-    }
-    if request.method == "POST" && request.path == "/lint" {
-        return lint_endpoint(request, shared);
-    }
-    let (status, content_type, body) = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (200, "application/json", health_body(shared).into_bytes()),
+/// A JSON response without extra headers.
+fn json(status: u16, body: String) -> Response {
+    let body = Arc::new(body.into_bytes());
+    (status, "application/json", body, Vec::new())
+}
+
+/// A typed JSON error response (see [`artifact::error_body`]).
+fn error_response(status: u16, kind: &str, message: &str) -> Response {
+    json(status, artifact::error_body(status, kind, None, message))
+}
+
+/// The request body as deck text; a body that is not UTF-8 answers 400.
+fn deck_text(request: &Request) -> Result<String, Response> {
+    String::from_utf8(request.body.clone()).map_err(|_| {
+        add("serve.http_errors", 1);
+        error_response(400, "deck_parse", "request body is not UTF-8 text")
+    })
+}
+
+fn route(request: &Request, shared: &ServeShared) -> Response {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/analyze" | "/contour") => analyze(request, shared),
+        ("POST", "/lint") => lint_endpoint(request, shared),
+        ("GET", "/healthz") => json(200, health_body(shared)),
         // Cache effectiveness rides along: store totals at snapshot time,
         // so operators can watch the hit rate climb.
         ("GET", "/metrics") => {
             let metrics = shared.metrics_snapshot(&PerfReport::default());
-            (200, "application/json", metrics.to_json().into_bytes())
+            json(200, metrics.to_json())
         }
         ("POST", "/shutdown") => {
             // The flag flips before this connection's response is
             // written, so the requester always hears the drain began.
             begin_shutdown(shared);
-            let body = "{\n  \"status\": \"draining\"\n}\n".to_string();
-            (200, "application/json", body.into_bytes())
+            json(200, "{\n  \"status\": \"draining\"\n}\n".to_string())
         }
         (_, "/healthz" | "/metrics" | "/shutdown" | "/analyze" | "/contour" | "/lint") => {
             add("serve.http_errors", 1);
-            let body = artifact::error_body(
-                405,
-                "method_not_allowed",
-                None,
-                &format!("{} is not supported on {}", request.method, request.path),
-            );
-            (405, "application/json", body.into_bytes())
+            let message = format!("{} is not supported on {}", request.method, request.path);
+            error_response(405, "method_not_allowed", &message)
         }
         (_, path) => {
             add("serve.http_errors", 1);
-            let body =
-                artifact::error_body(404, "not_found", None, &format!("no route for {path}"));
-            (404, "application/json", body.into_bytes())
+            error_response(404, "not_found", &format!("no route for {path}"))
         }
-    };
-    (status, content_type, body, Vec::new())
+    }
 }
 
 /// `POST /lint`: run the lint + auto-fix engine over the posted deck
-/// without touching the dispatcher. Answers 400 when the body is not a
-/// deck at all, 422 when fixing cannot converge or the repaired deck
-/// still carries deny-severity diagnostics, and 200 otherwise; the
-/// body always carries the diagnostics, the applied fixes, and the
-/// repaired deck text, and `X-Cafemio-Fixed` counts the applied fixes.
-/// `?ospl=1` selects the OSPL deck dialect (default IDLZ).
-fn lint_endpoint(
-    request: &Request,
-    shared: &ServeShared,
-) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
+/// under the dispatcher session's lint config, without touching the
+/// dispatcher. Answers 400 when the body is not a deck at all, 422 when
+/// fixing cannot converge or the repaired deck still carries
+/// deny-severity diagnostics, and 200 otherwise; the body always
+/// carries the diagnostics, the applied fixes, and the repaired deck
+/// text, and `X-Cafemio-Fixed` counts the applied fixes. `?ospl=1`
+/// selects the OSPL deck dialect (default IDLZ).
+fn lint_endpoint(request: &Request, shared: &ServeShared) -> Response {
     use cafemio::lint::{apply_fixes, DeckKind, FixError, LintError};
 
     add("serve.lint_requests", 1);
-    let deck = match std::str::from_utf8(&request.body) {
-        Ok(text) => text.to_string(),
-        Err(_) => {
-            add("serve.http_errors", 1);
-            let body =
-                artifact::error_body(400, "deck_parse", None, "request body is not UTF-8 text");
-            return (400, "application/json", body.into_bytes(), Vec::new());
-        }
+    let deck = match deck_text(request) {
+        Ok(deck) => deck,
+        Err(response) => return response,
     };
     let kind = if request.query_param("ospl") == Some("1") {
         DeckKind::Ospl
@@ -539,18 +568,17 @@ fn lint_endpoint(
     let name = request.query_param("name").unwrap_or("deck").to_string();
     let outcome = {
         let _span = span("serve.dispatch");
-        apply_fixes(&deck, kind, &shared.lint)
+        let lint = shared.session.lint_options().cloned().unwrap_or_default();
+        apply_fixes(&deck, kind, &lint)
     };
     match outcome {
         Err(FixError::Parse(message)) => {
             add("serve.failed", 1);
-            let body = artifact::error_body(400, "deck_parse", None, &message);
-            (400, "application/json", body.into_bytes(), Vec::new())
+            error_response(400, "deck_parse", &message)
         }
         Err(error @ FixError::NoConvergence { .. }) => {
             add("serve.failed", 1);
-            let body = artifact::error_body(422, "fix_no_convergence", None, &error.to_string());
-            (422, "application/json", body.into_bytes(), Vec::new())
+            error_response(422, "fix_no_convergence", &error.to_string())
         }
         Ok(outcome) => {
             add("serve.completed", 1);
@@ -564,8 +592,8 @@ fn lint_endpoint(
                 "X-Cafemio-Fixed".to_string(),
                 outcome.applied.len().to_string(),
             )];
-            let body = artifact::lint_fix_body(&name, &outcome);
-            (status, "application/json", body.into_bytes(), headers)
+            let body = Arc::new(artifact::lint_fix_body(&name, &outcome).into_bytes());
+            (status, "application/json", body, headers)
         }
     }
 }
@@ -593,37 +621,33 @@ fn health_body(shared: &ServeShared) -> String {
 /// taking a dispatcher slot. Only 200 responses are memoized; errors and
 /// rejections always re-run. A `/contour` data-set selection that is not
 /// an index is refused before any of that.
-fn analyze(request: &Request, shared: &ServeShared) -> (u16, &'static str, Vec<u8>, ExtraHeaders) {
+fn analyze(request: &Request, shared: &ServeShared) -> Response {
     let data_set = request.query_param("data_set").unwrap_or("0");
     let data_set = match (request.path == "/contour", data_set.parse::<usize>()) {
         (false, _) => None,
         (true, Ok(index)) => Some(index),
         (true, Err(_)) => {
             add("serve.http_errors", 1);
-            let body = artifact::error_body(
-                400,
-                "bad_query",
-                None,
-                "data_set must be a non-negative integer",
-            );
-            return (400, "application/json", body.into_bytes(), Vec::new());
+            let message = "data_set must be a non-negative integer";
+            return error_response(400, "bad_query", message);
         }
     };
     let cache_header = |outcome: &str| vec![("X-Cafemio-Cache".to_string(), outcome.to_string())];
-    let Some(store) = shared.cache.as_ref() else {
-        let (status, content_type, body) = analyze_uncached(request, shared, data_set);
-        return (status, content_type, body, Vec::new());
+    let Some(store) = shared.session.cache_store() else {
+        return analyze_uncached(request, shared, data_set);
     };
     let key = response_key(request, shared);
-    if let Some(hit) = store.get::<(&'static str, Vec<u8>)>(&key) {
+    if let Some(hit) = store.get::<(&'static str, Arc<Vec<u8>>)>(&key) {
         add("serve.completed", 1);
         let (content_type, body) = &*hit;
-        return (200, content_type, body.clone(), cache_header("hit"));
+        return (200, content_type, Arc::clone(body), cache_header("hit"));
     }
-    let (status, content_type, body) = analyze_uncached(request, shared, data_set);
+    let (status, content_type, mut body, _) = analyze_uncached(request, shared, data_set);
     if status == 200 {
+        // The store keeps the body, and charges it by length.
+        Arc::make_mut(&mut body).shrink_to_fit();
         let bytes = 256 + body.len() as u64;
-        store.put(key, Arc::new((content_type, body.clone())), bytes);
+        store.put(key, Arc::new((content_type, Arc::clone(&body))), bytes);
     }
     (status, content_type, body, cache_header("miss"))
 }
@@ -641,54 +665,17 @@ fn response_key(request: &Request, shared: &ServeShared) -> CacheKey {
     CacheKey::new(CacheStage::Response, hasher.finish(), shared.fingerprint)
 }
 
-/// Lints and parses inline (keeping the lint report for the response),
-/// submits through admission control, blocks on the ticket, and renders
-/// either the JSON summary (`/analyze`, no `data_set`) or the SVG contour
-/// plot of data set `data_set` (`/contour`).
-fn analyze_uncached(
-    request: &Request,
-    shared: &ServeShared,
-    data_set: Option<usize>,
-) -> (u16, &'static str, Vec<u8>) {
-    let deck = match std::str::from_utf8(&request.body) {
-        Ok(text) => text.to_string(),
-        Err(_) => {
-            add("serve.http_errors", 1);
-            let body =
-                artifact::error_body(400, "deck_parse", None, "request body is not UTF-8 text");
-            return (400, "application/json", body.into_bytes());
-        }
+/// Submits the deck through admission control — the job's session does
+/// the one parse and the one lint — blocks on the ticket, and renders
+/// either the JSON summary with the job's lint report (`/analyze`, no
+/// `data_set`) or the SVG contour plot of data set `data_set`
+/// (`/contour`).
+fn analyze_uncached(request: &Request, shared: &ServeShared, data_set: Option<usize>) -> Response {
+    let deck = match deck_text(request) {
+        Ok(deck) => deck,
+        Err(response) => return response,
     };
     let name = request.query_param("name").unwrap_or("deck").to_string();
-
-    // Lint + parse inline, under the dispatcher's capability: denials and
-    // parse failures answer without ever taking a dispatcher slot, and a
-    // clean parse yields the lint report the success body carries. Its
-    // session telemetry is dropped: `serve.parse` times it, and the
-    // dispatched job records the deck's own `pipeline.*` and `lint.*`.
-    let parsed = {
-        let _span = span("serve.parse");
-        let (parsed, _) = record(|| {
-            PipelineBuilder::new()
-                .config(
-                    SessionConfig::new()
-                        .capability(shared.capability)
-                        .lint(shared.lint.clone()),
-                )
-                .parse(&deck)
-        });
-        parsed
-    };
-    let lint_report = match parsed {
-        Ok(parsed) => parsed.lint_report().cloned(),
-        Err(error) => {
-            add("serve.failed", 1);
-            let status = artifact::status_for_error(&error);
-            let body = artifact::pipeline_error_body(&error);
-            return (status, "application/json", body.into_bytes());
-        }
-    };
-
     let outcome = {
         let _span = span("serve.dispatch");
         let job = BatchJob::with_setup_fn(name.clone(), deck, Arc::clone(&shared.setup))
@@ -698,41 +685,33 @@ fn analyze_uncached(
     match outcome {
         Err(rejection) => {
             add("serve.rejected", 1);
-            let body = artifact::admission_error_body(&rejection);
-            (503, "application/json", body.into_bytes())
+            json(503, artifact::admission_error_body(&rejection))
         }
         Ok(JobOutcome::Failed(error)) => {
             add("serve.failed", 1);
             let status = artifact::status_for_error(&error);
-            let body = artifact::pipeline_error_body(&error);
-            (status, "application/json", body.into_bytes())
+            json(status, artifact::pipeline_error_body(&error))
         }
         Ok(JobOutcome::Skipped) => {
             // The dispatcher never applies FailFast skipping, but the
             // enum is shared with run_batch; answer defensively.
             add("serve.failed", 1);
-            let body = artifact::error_body(503, "skipped", None, "job was skipped");
-            (503, "application/json", body.into_bytes())
+            error_response(503, "skipped", "job was skipped")
         }
-        Ok(JobOutcome::Completed(plots)) => {
+        Ok(JobOutcome::Completed { plots, lint }) => {
             add("serve.completed", 1);
             match data_set.map(|index| (index, plots.get(index))) {
                 Some((_, Some(plot))) => {
                     let svg = render_svg(&plot.contours.frame);
-                    (200, "image/svg+xml", svg.into_bytes())
+                    (200, "image/svg+xml", Arc::new(svg.into_bytes()), Vec::new())
                 }
                 Some((index, None)) => {
-                    let body = artifact::error_body(
-                        404,
-                        "no_such_data_set",
-                        None,
-                        &format!("deck has {} data set(s); no index {index}", plots.len()),
-                    );
-                    (404, "application/json", body.into_bytes())
+                    let message = format!("deck has {} data set(s); no index {index}", plots.len());
+                    error_response(404, "no_such_data_set", &message)
                 }
                 None => {
-                    let body = artifact::analysis_summary_json(&name, &plots, lint_report.as_ref());
-                    (200, "application/json", body.into_bytes())
+                    let summary = artifact::analysis_summary_json(&name, &plots, lint.as_ref());
+                    json(200, summary)
                 }
             }
         }

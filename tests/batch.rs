@@ -74,7 +74,7 @@ fn collect_all_attributes_every_induced_failure_in_submission_order() {
     for ((expected_stage, job), outcome) in cases.iter().zip(&report.outcomes) {
         match expected_stage {
             None => assert!(
-                matches!(outcome, JobOutcome::Completed(_)),
+                matches!(outcome, JobOutcome::Completed { .. }),
                 "{}: clean deck did not complete: {outcome:?}",
                 job.name()
             ),
@@ -122,7 +122,7 @@ fn fail_fast_stops_scheduling_but_reports_the_failure() {
         .position(|o| matches!(o, JobOutcome::Failed(_)))
         .expect("a failure");
     for outcome in &report.outcomes[..first_failure] {
-        assert!(matches!(outcome, JobOutcome::Completed(_)));
+        assert!(matches!(outcome, JobOutcome::Completed { .. }));
     }
 }
 
@@ -154,7 +154,7 @@ fn session_and_batch(
     let job = BatchJob::new("parity", deck, standard_setup).component(component);
     let report = run_batch(&[job], &BatchOptions::new().workers(1).config(config));
     let batch = match &report.outcomes[0] {
-        JobOutcome::Completed(plots) => Ok(plots.len()),
+        JobOutcome::Completed { plots, .. } => Ok(plots.len()),
         JobOutcome::Failed(error) => Err(kind(error)),
         JobOutcome::Skipped => panic!("a collect-all run skipped its only job"),
     };

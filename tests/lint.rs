@@ -238,7 +238,7 @@ fn the_batch_engine_fails_linted_jobs_with_stage_attribution() {
             .config(SessionConfig::new().lint(LintConfig::new()))
             .error_policy(ErrorPolicy::CollectAll),
     );
-    assert!(matches!(report.outcomes[0], JobOutcome::Completed(_)));
+    assert!(matches!(report.outcomes[0], JobOutcome::Completed { .. }));
     match &report.outcomes[1] {
         JobOutcome::Failed(err) => {
             assert_eq!(err.stage(), Stage::DeckParse);

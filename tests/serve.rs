@@ -4,7 +4,8 @@
 //! over raw TCP: one golden request per typed error class asserting the
 //! status code and JSON error body, a graceful-drain test proving no
 //! accepted job is lost or answered twice, and a determinism test
-//! diffing served summaries against a direct pipeline run.
+//! diffing served summaries against a direct pipeline run. The thread
+//! bound has a file of its own, `tests/serve_threads.rs`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +17,7 @@ use cafemio::batch::BatchOptions;
 use cafemio::fem::{CgOptions, SolverBackend};
 use cafemio::idlz::deck::write_deck;
 use cafemio::idlz::Capability;
-use cafemio::instrument::PerfReport;
+use cafemio::instrument::{record, PerfReport};
 use cafemio::lint::{LintCode, LintConfig, Severity};
 use cafemio::pipeline::PipelineBuilder;
 use cafemio::SessionConfig;
@@ -27,6 +28,19 @@ use cafemio_serve::{
     analysis_summary_json, default_setup, ServeOptions, Server, SERVE_COUNTERS, SERVE_SPANS,
 };
 
+/// Sends raw request bytes on a fresh connection and reads the reply to
+/// EOF.
+fn exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("set timeout");
+    stream.write_all(raw).expect("write request");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    response
+}
+
 /// One blocking HTTP exchange: connect, send, read to EOF, return the
 /// status code, raw header block, and body text.
 fn request_full(
@@ -35,18 +49,17 @@ fn request_full(
     target: &str,
     body: &[u8],
 ) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("set timeout");
-    let head = format!(
+    let mut raw = format!(
         "{method} {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body).expect("write body");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
+    )
+    .into_bytes();
+    raw.extend_from_slice(body);
+    split_response(&exchange(addr, &raw))
+}
+
+/// The status code, raw header block, and body text of a response.
+fn split_response(response: &[u8]) -> (u16, String, String) {
     let split = response
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -105,7 +118,8 @@ fn unparseable_deck_answers_400_with_typed_body() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"kind\": \"bad_query\""), "{body}");
     let report = server.shutdown();
-    assert_eq!(report.counter("batch.jobs"), Some(0));
+    // The garbage deck took a dispatcher slot: the job does the only parse.
+    assert_eq!(report.counter("batch.jobs"), Some(1));
     assert_eq!(report.counter("serve.completed"), Some(0));
     assert_eq!(report.counter("serve.http_errors"), Some(1));
 }
@@ -119,6 +133,53 @@ fn lint_denial_answers_422_with_typed_body() {
     assert!(body.contains("\"status\": 422"), "{body}");
     assert!(body.contains("\"kind\": \"lint_denied\""), "{body}");
     server.shutdown();
+}
+
+#[test]
+fn a_denied_deck_answers_422_and_each_response_cache_miss_lints_once() {
+    // The dispatcher's session sets no lint, so the server installs the
+    // default one: the only lint, run by the job.
+    let store = Arc::new(cafemio::cache::StageCache::new());
+    let session = SessionConfig::new().cache(Arc::clone(&store));
+    let server =
+        Server::start(ServeOptions::new().batch(BatchOptions::new().config(session))).expect("start");
+    let addr = server.local_addr();
+    let (_, deck) = good_deck();
+    let warned = format!("{deck}\n");
+    let requests = [
+        (denied_deck(), 422, "miss"),
+        (denied_deck(), 422, "miss"),
+        (warned.as_str(), 200, "miss"),
+        (warned.as_str(), 200, "hit"),
+    ];
+    for (deck, status, cache) in requests {
+        let (got, head, body) = request_full(addr, "POST", "/analyze", deck.as_bytes());
+        assert_eq!(got, status, "{body}");
+        assert_eq!(header_value(&head, "X-Cafemio-Cache"), Some(cache), "{head}");
+        if status == 422 {
+            assert!(body.contains("\"kind\": \"lint_denied\""), "{body}");
+        }
+    }
+    let report = server.shutdown();
+
+    // What one lint of each deck records, on a direct session.
+    let lint = |deck: &str| {
+        let config = SessionConfig::new().lint(LintConfig::new());
+        let (_, once) = record(|| PipelineBuilder::new().config(config).parse(deck).map(drop));
+        let count = |name| once.counter(name).expect("lint ran");
+        (count("lint.diagnostics"), count("lint.denied"))
+    };
+    let (denied_diagnostics, denied) = lint(denied_deck());
+    assert!(denied >= 1);
+    assert_eq!(lint(&warned), (1, 0));
+    // Three misses, three jobs, three lints: a denial is never cached,
+    // and the hit runs nothing.
+    assert_eq!(report.counter("batch.jobs"), Some(3));
+    assert_eq!(report.counter("lint.denied"), Some(2 * denied));
+    assert_eq!(
+        report.counter("lint.diagnostics"),
+        Some(2 * denied_diagnostics + 1)
+    );
 }
 
 #[test]
@@ -155,6 +216,25 @@ fn oversized_body_answers_413_before_analysis() {
     assert_eq!(status, 413, "{body}");
     assert!(body.contains("\"kind\": \"body_too_large\""), "{body}");
     server.shutdown();
+}
+
+#[test]
+fn conflicting_body_framing_answers_400_malformed_request() {
+    let server = Server::start(ServeOptions::new()).expect("start");
+    let addr = server.local_addr();
+    let (_, deck) = good_deck();
+    for framing in [
+        format!("Content-Length: 4\r\nContent-Length: {}", deck.len()),
+        format!("Transfer-Encoding: chunked\r\nContent-Length: {}", deck.len()),
+    ] {
+        let raw = format!("POST /analyze HTTP/1.1\r\nHost: test\r\n{framing}\r\n\r\n{deck}");
+        let (status, _, body) = split_response(&exchange(addr, raw.as_bytes()));
+        assert_eq!(status, 400, "{framing}: {body}");
+        assert!(body.contains("\"kind\": \"malformed_request\""), "{body}");
+    }
+    let report = server.shutdown();
+    assert_eq!(report.counter("batch.jobs"), Some(0));
+    assert_eq!(report.counter("serve.http_errors"), Some(2));
 }
 
 #[test]
@@ -295,6 +375,27 @@ fn saturated_admission_answers_503_and_held_jobs_still_finish() {
 }
 
 #[test]
+fn a_panicking_setup_costs_its_connection_but_no_connection_worker() {
+    let server = Server::start(
+        ServeOptions::new()
+            .batch(BatchOptions::new().workers(1).max_in_flight(1))
+            .setup(Arc::new(|_| panic!("setup closure panicked"))),
+    )
+    .expect("start");
+    let addr = server.local_addr();
+    let (_, deck) = good_deck();
+    let raw = format!("POST /analyze HTTP/1.1\r\nContent-Length: {}\r\n\r\n{deck}", deck.len());
+    // More panics than the two connection workers: each closes its own
+    // connection without a response, and the pool keeps serving.
+    for _ in 0..3 {
+        assert!(exchange(addr, raw.as_bytes()).is_empty());
+    }
+    assert_eq!(request(addr, "GET", "/healthz", b"").0, 200);
+    let report = server.shutdown();
+    assert_eq!(report.counter("batch.failed"), Some(3));
+}
+
+#[test]
 fn drain_finishes_every_accepted_job_and_loses_none() {
     let server = Server::start(
         ServeOptions::new().batch(BatchOptions::new().workers(2).max_in_flight(4)),
@@ -355,27 +456,32 @@ fn served_summary_is_byte_identical_to_direct_pipeline_run() {
     let addr = server.local_addr();
     let (name, deck) = good_deck();
     let target = format!("/analyze?name={}", percent_encode(&name));
+    // A trailing blank card is one lint warning, which the body carries.
+    let warned = format!("{deck}\n");
 
-    let (status_a, body_a) = request(addr, "POST", &target, deck.as_bytes());
-    let (status_b, body_b) = request(addr, "POST", &target, deck.as_bytes());
-    assert_eq!((status_a, status_b), (200, 200));
+    for (deck, warnings) in [(&deck, 0), (&warned, 1)] {
+        let (status_a, body_a) = request(addr, "POST", &target, deck.as_bytes());
+        let (status_b, body_b) = request(addr, "POST", &target, deck.as_bytes());
+        assert_eq!((status_a, status_b), (200, 200));
 
-    let parsed = PipelineBuilder::new()
-        .config(SessionConfig::new().lint(LintConfig::new()))
-        .parse(&deck)
-        .expect("catalog deck parses");
-    let lint = parsed.lint_report().cloned();
-    let plots = parsed
-        .idealize()
-        .and_then(|i| i.setup(default_setup))
-        .and_then(|m| m.solve())
-        .and_then(|s| s.recover())
-        .and_then(|r| r.contour())
-        .expect("catalog deck analyzes");
-    let expected = analysis_summary_json(&name, &plots, lint.as_ref());
+        let parsed = PipelineBuilder::new()
+            .config(SessionConfig::new().lint(LintConfig::new()))
+            .parse(deck)
+            .expect("catalog deck parses");
+        let lint = parsed.lint_report().cloned();
+        assert_eq!(lint.as_ref().map(|r| r.diagnostics().len()), Some(warnings));
+        let plots = parsed
+            .idealize()
+            .and_then(|i| i.setup(default_setup))
+            .and_then(|m| m.solve())
+            .and_then(|s| s.recover())
+            .and_then(|r| r.contour())
+            .expect("catalog deck analyzes");
+        let expected = analysis_summary_json(&name, &plots, lint.as_ref());
 
-    assert_eq!(body_a, body_b, "serve/serve runs must agree byte-for-byte");
-    assert_eq!(body_a, expected, "serve/direct runs must agree byte-for-byte");
+        assert_eq!(body_a, body_b, "serve/serve runs must agree byte-for-byte");
+        assert_eq!(body_a, expected, "serve/direct runs must agree byte-for-byte");
+    }
     server.shutdown();
 }
 
@@ -440,15 +546,15 @@ fn uncached_server_sends_no_cache_header() {
 }
 
 #[test]
-fn inline_lint_checks_decks_against_the_dispatchers_capability() {
+fn the_jobs_lint_checks_decks_against_the_dispatchers_capability() {
     let deck = write_deck(&[near_limit_spec()]).unwrap().to_text();
+    let deny_proximity = LintConfig::new().with(LintCode::GridLimitProximity, Severity::Deny);
     for (capability, expected) in [(Capability::LargeMesh, 200), (Capability::Historical, 422)] {
-        let server = Server::start(
-            ServeOptions::new()
-                .lint(LintConfig::new().with(LintCode::GridLimitProximity, Severity::Deny))
-                .batch(BatchOptions::new().config(SessionConfig::new().capability(capability))),
-        )
-        .expect("start");
+        let session = SessionConfig::new()
+            .capability(capability)
+            .lint(deny_proximity.clone());
+        let server = Server::start(ServeOptions::new().batch(BatchOptions::new().config(session)))
+            .expect("start");
         let (status, body) = request(server.local_addr(), "POST", "/analyze", deck.as_bytes());
         assert_eq!(status, expected, "{capability:?}: {body}");
         server.shutdown();
@@ -473,8 +579,8 @@ fn shutdown_reports_each_seeded_name_once_and_the_stores_cache_totals() {
             assert_eq!(request(addr, "POST", &target, deck.as_bytes()).0, 200);
         }
     }
-    // A trailing blank card is one warning: the dispatched job counts it
-    // once, and the front end's inline lint of the same deck adds nothing.
+    // A trailing blank card is one warning, which the dispatched job's
+    // lint counts once.
     let (_, deck) = good_deck();
     let warned = format!("{deck}\n");
     assert_eq!(request(addr, "POST", "/analyze", warned.as_bytes()).0, 200);
