@@ -85,8 +85,9 @@ const BATCH_SPANS: [&str; 7] = [
     "batch.contour",
 ];
 
-/// The service spans the drained `serve.*` report carries (mirrors
-/// `cafemio_serve::SERVE_SPANS`).
+/// The service spans every `/analyze` request records:
+/// `cafemio_serve::SERVE_SPANS` but `serve.render`, which times only a
+/// `/contour` render, and `load_gen` sends none.
 const SERVE_SPANS: [&str; 4] = [
     "serve.accept",
     "serve.parse",

@@ -63,6 +63,7 @@ pub const SPANS: &[&str] = &[
     "serve.accept",
     "serve.dispatch",
     "serve.parse",
+    "serve.render",
     "serve.respond",
 ];
 

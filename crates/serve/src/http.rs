@@ -261,12 +261,14 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         let what = "the body is not framed by exactly one Content-Length";
         return Err(HttpError::Malformed(what.into()));
     }
+    // RFC 9112 §6.2: Content-Length is 1*DIGIT; `usize::from_str`
+    // alone would also take a leading `+`.
     let content_length = headers
         .iter()
         .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad Content-Length: {v:?}")))
+        .map(|(_, v)| match v.parse::<usize>() {
+            Ok(len) if v.bytes().all(|b| b.is_ascii_digit()) => Ok(len),
+            _ => Err(HttpError::Malformed(format!("bad Content-Length: {v:?}"))),
         })
         .transpose()?;
 
@@ -412,6 +414,17 @@ mod tests {
     fn bad_content_length_is_malformed() {
         let err = parse("POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n").expect_err("must reject");
         assert!(matches!(err, HttpError::Malformed(_)));
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for value in ["+4", "", " 4x", "-0", "4 4"] {
+            let head = format!("POST / HTTP/1.1\r\nContent-Length:{value}\r\n\r\ndeck");
+            let err = parse(&head);
+            assert!(matches!(err, Err(HttpError::Malformed(_))), "{value:?}");
+        }
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 0004\r\n\r\ndeck");
+        assert_eq!(req.expect("leading zeros are digits").body, b"deck");
     }
 
     #[test]

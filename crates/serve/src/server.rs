@@ -52,10 +52,11 @@ use crate::artifact;
 use crate::http::{self, HttpError, Request};
 
 /// The per-request span names the service records, in request order.
-pub const SERVE_SPANS: [&str; 4] = [
+pub const SERVE_SPANS: [&str; 5] = [
     "serve.accept",
     "serve.parse",
     "serve.dispatch",
+    "serve.render",
     "serve.respond",
 ];
 
@@ -702,7 +703,10 @@ fn analyze_uncached(request: &Request, shared: &ServeShared, data_set: Option<us
             add("serve.completed", 1);
             match data_set.map(|index| (index, plots.get(index))) {
                 Some((_, Some(plot))) => {
-                    let svg = render_svg(&plot.contours.frame);
+                    let svg = {
+                        let _span = span("serve.render");
+                        render_svg(&plot.contours.frame)
+                    };
                     (200, "image/svg+xml", Arc::new(svg.into_bytes()), Vec::new())
                 }
                 Some((index, None)) => {
