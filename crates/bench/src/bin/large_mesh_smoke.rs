@@ -7,8 +7,10 @@
 //! backend, audits the relative residual against the standard 1e-8
 //! bound, and writes the per-stage wall-clock timings and `fem.cg.*`
 //! counters to `BENCH_sparse.json` (path overridable as the first
-//! argument). Exits nonzero when the mesh is too small, the audit
-//! fails, or a stage errors.
+//! argument). The summary line names the preconditioner that ran, read
+//! from the `fem.cg.complete_factors` and `fem.cg.ic0_fallbacks`
+//! counters. Exits nonzero when the mesh is too small, the audit fails,
+//! or a stage errors.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -136,10 +138,19 @@ fn run() -> Result<String, String> {
     if iterations == 0 {
         return Err("fem.cg.iterations counter missing or zero".into());
     }
+    let fallbacks = report.counter("fem.cg.ic0_fallbacks").unwrap_or(0);
+    let preconditioner = if report.counter("fem.cg.complete_factors").unwrap_or(0) > 0 {
+        "complete LDLᵀ"
+    } else if fallbacks > 0 {
+        "Jacobi"
+    } else {
+        "IC(0)"
+    };
     Ok(format!(
         "large-mesh-smoke: {} nodes, {elements} elements ok in {:.1} s \
-         (assemble {:.0} ms, IC(0) factor {:.0} ms, cg {:.0} ms, {iterations} iterations, \
-         residual {} femto, {} nonzeros, {} IC(0) fall-backs) -> {path}",
+         (assemble {:.0} ms, {preconditioner} factor {:.0} ms, cg {:.0} ms, \
+         {iterations} iterations, residual {} femto, {} nonzeros, \
+         {fallbacks} IC(0) fall-backs) -> {path}",
         case.model().mesh().node_count(),
         elapsed.as_secs_f64(),
         span_ms("fem.assemble"),
@@ -147,7 +158,6 @@ fn run() -> Result<String, String> {
         span_ms("fem.cg.iterate"),
         report.counter("fem.cg.residual_femto").unwrap_or(0),
         report.counter("fem.cg.nonzeros").unwrap_or(0),
-        report.counter("fem.cg.ic0_fallbacks").unwrap_or(0),
     ))
 }
 

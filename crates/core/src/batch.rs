@@ -1455,22 +1455,26 @@ mod tests {
 
     #[test]
     fn starved_cg_budget_is_a_typed_solve_failure_through_the_engine() {
+        // The complete factor converges on the plate in one step, so the
+        // tolerance is one no double-precision solve reaches.
         let jobs = plate_jobs(1);
         let report = run_batch(
             &jobs,
-            &BatchOptions::new()
-                .workers(1)
-                .config(
-                    SessionConfig::new()
-                        .solver(SolverBackend::SparseCg)
-                        .cg_options(CgOptions::new().with_max_iterations(1)),
-                ),
+            &BatchOptions::new().workers(1).config(
+                SessionConfig::new()
+                    .solver(SolverBackend::SparseCg)
+                    .cg_options(
+                        CgOptions::new()
+                            .with_tolerance(1e-30)
+                            .with_max_iterations(1),
+                    ),
+            ),
         );
         let err = report.outcomes[0].error().expect("starved CG fails");
         assert_eq!(err.stage(), crate::pipeline::Stage::Solve);
         assert!(matches!(
             err.source_error(),
-            StageError::Fem(FemError::CgNoConvergence { .. })
+            StageError::Fem(FemError::CgNoConvergence { tolerance, .. }) if *tolerance == 1e-30
         ));
     }
 }

@@ -339,10 +339,13 @@ impl FemModel {
     }
 
     /// [`solve_sparse`](Self::solve_sparse) with explicit iteration
-    /// options. Times the IC(0) setup (`fem.cg.factor`) apart from the
-    /// iteration (`fem.cg.iterate`) and publishes the
-    /// `fem.cg.nonzeros` / `fem.cg.ic0_fallbacks` /
-    /// `fem.cg.iterations` / `fem.cg.residual_femto` counters.
+    /// options. The preconditioner is the complete skyline LDLᵀ when the
+    /// matrix's profile is cheap and IC(0) otherwise (see
+    /// [`solve_cg`](crate::solve_cg)). Times its setup (`fem.cg.factor`)
+    /// apart from the iteration (`fem.cg.iterate`) and publishes the
+    /// `fem.cg.nonzeros` / `fem.cg.complete_factors` /
+    /// `fem.cg.ic0_fallbacks` / `fem.cg.iterations` /
+    /// `fem.cg.residual_femto` counters.
     ///
     /// # Errors
     ///
@@ -359,6 +362,7 @@ impl FemModel {
             let _s = cafemio_instrument::span("fem.cg.factor");
             CgSystem::factor(&matrix)?
         };
+        cafemio_instrument::counter("fem.cg.complete_factors", system.complete_factors() as u64);
         cafemio_instrument::counter("fem.cg.ic0_fallbacks", system.ic0_fallbacks() as u64);
         let _s = cafemio_instrument::span("fem.cg.iterate");
         let (displacements, stats) = system.solve(&rhs, options)?;

@@ -147,12 +147,19 @@ impl SkylineMatrix {
             });
         }
         self.factorize()?;
-        Ok(self.solve_factored(b))
+        let mut x = b.to_vec();
+        self.substitute(&mut x);
+        Ok(x)
     }
 
     /// In-place LDLᵀ: columns end up holding `l_ij` above the diagonal
-    /// and `d_j` on it.
-    fn factorize(&mut self) -> Result<(), FemError> {
+    /// and `d_j` on it. The sparse backend's complete preconditioner
+    /// factors with this too.
+    ///
+    /// # Errors
+    ///
+    /// As for [`solve`](Self::solve), minus the length check.
+    pub(crate) fn factorize(&mut self) -> Result<(), FemError> {
         for j in 0..self.n {
             let fj = self.first_row[j];
             // Reduce the off-diagonal entries g_ij (top-down), then the
@@ -191,10 +198,13 @@ impl SkylineMatrix {
         Ok(())
     }
 
-    fn solve_factored(&self, b: &[f64]) -> Vec<f64> {
+    /// The forward, diagonal and back sweep of a
+    /// [`factorize`](Self::factorize)d matrix, in place: `x` holds `b`
+    /// on entry and `A⁻¹·b` on exit. Allocates nothing, so the sparse
+    /// backend's CG loop can run it once per iteration.
+    pub(crate) fn substitute(&self, x: &mut [f64]) {
         let n = self.n;
         // Forward: L z = b.
-        let mut x = b.to_vec();
         for j in 0..n {
             let fj = self.first_row[j];
             let mut sum = x[j];
@@ -215,7 +225,6 @@ impl SkylineMatrix {
                 x[i] -= self.columns[j][i - fj] * x[j];
             }
         }
-        x
     }
 }
 

@@ -85,6 +85,7 @@ pub const COUNTERS: &[&str] = &[
     "cache.evictions",
     "cache.hits",
     "cache.misses",
+    "fem.cg.complete_factors",
     "fem.cg.ic0_fallbacks",
     "fem.cg.iterations",
     "fem.cg.nonzeros",
