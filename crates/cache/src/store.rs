@@ -89,7 +89,6 @@ struct Entry {
 
 struct Inner {
     map: HashMap<CacheKey, Entry>,
-    slots: HashMap<u64, (Arc<dyn Any + Send + Sync>, u64)>,
     tick: u64,
     bytes: u64,
     hits: u64,
@@ -136,11 +135,6 @@ impl Default for StageCache {
     }
 }
 
-/// How many incremental-state slots the side table keeps before evicting
-/// the least-recently-used one. Slots hold per-deck incremental
-/// idealizer state, so a handful per concurrently edited deck suffices.
-const MAX_SLOTS: usize = 64;
-
 impl StageCache {
     /// A store with the default budget (256 MiB of approximate payload).
     pub fn new() -> StageCache {
@@ -154,7 +148,6 @@ impl StageCache {
         StageCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                slots: HashMap::new(),
                 tick: 0,
                 bytes: 0,
                 hits: 0,
@@ -252,42 +245,6 @@ impl StageCache {
         }
     }
 
-    /// Fetches the incremental-state slot registered under `identity`
-    /// (a stable hash naming "the previous version of this artifact" —
-    /// content-addressed keys cannot find it, the slot table can).
-    pub fn slot(&self, identity: u64) -> Option<Arc<dyn Any + Send + Sync>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.slots.get_mut(&identity).map(|(value, slot_tick)| {
-            *slot_tick = tick;
-            Arc::clone(value)
-        })
-    }
-
-    /// Registers (or replaces) an incremental-state slot. The slot table
-    /// is capped at a small fixed count with LRU eviction; slot payloads
-    /// do not count against the byte budget.
-    pub fn set_slot(&self, identity: u64, value: Arc<dyn Any + Send + Sync>) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.slots.insert(identity, (value, tick));
-        while inner.slots.len() > MAX_SLOTS {
-            let oldest = inner
-                .slots
-                .iter()
-                .min_by_key(|(_, (_, slot_tick))| *slot_tick)
-                .map(|(&k, _)| k);
-            match oldest {
-                Some(victim) => {
-                    inner.slots.remove(&victim);
-                }
-                None => break,
-            }
-        }
-    }
-
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -369,21 +326,6 @@ mod tests {
         cache.put(k, Arc::new(0u32), 100);
         assert!(cache.get::<u32>(&k).is_none());
         assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn slots_store_and_evict_independently_of_the_byte_budget() {
-        let cache = StageCache::with_max_bytes(0);
-        assert!(cache.slot(1).is_none());
-        cache.set_slot(1, Arc::new(Mutex::new(41u32)));
-        let slot = cache.slot(1).expect("slot registered");
-        let counter = slot.downcast::<Mutex<u32>>().expect("slot type");
-        *counter.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        let again = cache
-            .slot(1)
-            .and_then(|s| s.downcast::<Mutex<u32>>().ok())
-            .expect("slot persists");
-        assert_eq!(*again.lock().unwrap_or_else(|e| e.into_inner()), 42);
     }
 
     #[test]

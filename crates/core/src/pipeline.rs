@@ -28,15 +28,13 @@
 //! schedules.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cafemio_audit::{AuditError, AuditStage};
 use cafemio_cache::{CacheKey, CacheStage, StableHasher, StageCache};
 use cafemio_cards::{CardError, Deck};
 use cafemio_fem::{AnalysisKind, FemError, FemModel, Solution, SolverBackend, StressField};
-use cafemio_idlz::{
-    Idealization, IdealizationResult, IdealizationSpec, IdlzError, IncrementalIdealizer,
-};
+use cafemio_idlz::{Idealization, IdealizationResult, IdealizationSpec, IdlzError};
 use cafemio_lint::{LintError, LintReport};
 use cafemio_mesh::{FieldProbe, NodalField, ProbeError, TriMesh};
 use cafemio_ospl::{ContourOptions, Ospl, OsplError, OsplResult};
@@ -284,12 +282,36 @@ impl Default for SessionState {
 
 impl SessionState {
     /// The cache store and config fingerprint, when caching is on.
-    fn cache(&self) -> Option<(&Arc<StageCache>, u64)> {
+    fn cache(&self) -> Option<(&StageCache, u64)> {
         self.shared
             .cache
-            .as_ref()
+            .as_deref()
             .map(|store| (store, self.shared.fingerprint()))
     }
+}
+
+/// Memoizes one stage artifact under `entry`'s key: a hit returns a clone
+/// of the stored value; a miss runs `compute` and stores a clone of its
+/// success, charged `bytes` of the store's budget. With no entry (no
+/// store, or an input with no content key) it just computes. A failure
+/// is never stored, so it is recomputed, with its spans, on every run.
+fn cached<T, E>(
+    entry: Option<(&StageCache, CacheKey)>,
+    compute: impl FnOnce() -> Result<T, E>,
+    bytes: impl FnOnce(&T) -> u64,
+) -> Result<T, E>
+where
+    T: Clone + Send + Sync + 'static,
+{
+    let Some((store, key)) = entry else {
+        return compute();
+    };
+    if let Some(hit) = store.get::<T>(&key) {
+        return Ok((*hit).clone());
+    }
+    let value = compute()?;
+    store.put(key, Arc::new(value.clone()), bytes(&value));
+    Ok(value)
 }
 
 /// Entry point of a staged session. Configures the session defaults
@@ -365,40 +387,35 @@ impl PipelineBuilder {
     /// or deck structure).
     pub fn parse(&self, text: &str) -> Result<ParsedDeck, PipelineError> {
         let _span = cafemio_instrument::span("pipeline.parse");
-        let key = self
-            .config
-            .cache()
-            .map(|(_, fp)| CacheKey::new(CacheStage::Parse, StableHasher::hash_str(text), fp));
-        if let (Some((store, _)), Some(key)) = (self.config.cache(), key) {
-            if let Some(hit) = store.get::<(Vec<IdealizationSpec>, Option<LintReport>)>(&key) {
-                return Ok(ParsedDeck {
-                    specs: hit.0.clone(),
-                    lint_report: hit.1.clone(),
-                    config: self.config.clone(),
-                });
-            }
-        }
-        let deck = Deck::from_text(text)
-            .map_err(|e| PipelineError::at(Stage::DeckParse, StageError::Card(e)))?;
-        let (mut specs, layouts) = cafemio_idlz::deck::parse_deck_with_layout(&deck)
-            .map_err(|e| PipelineError::at(Stage::DeckParse, StageError::Idlz(e)))?;
-        for spec in &mut specs {
-            self.config.shared.apply_capability(spec);
-        }
-        let lint_report = match &self.config.shared.lint {
-            Some(config) => Some(run_lint(|| {
-                cafemio_lint::lint_idlz_with_deck(&deck, &specs, &layouts, config)
-            })?),
-            None => None,
-        };
-        if let (Some((store, _)), Some(key)) = (self.config.cache(), key) {
-            let bytes = 256 + 16 * specs.iter().map(IdealizationSpec::input_value_count).sum::<usize>();
-            store.put(
-                key,
-                Arc::new((specs.clone(), lint_report.clone())),
-                bytes as u64,
-            );
-        }
+        let entry = self.config.cache().map(|(store, fp)| {
+            (
+                store,
+                CacheKey::new(CacheStage::Parse, StableHasher::hash_str(text), fp),
+            )
+        });
+        let (specs, lint_report) = cached(
+            entry,
+            || {
+                let deck = Deck::from_text(text)
+                    .map_err(|e| PipelineError::at(Stage::DeckParse, StageError::Card(e)))?;
+                let (mut specs, layouts) = cafemio_idlz::deck::parse_deck_with_layout(&deck)
+                    .map_err(|e| PipelineError::at(Stage::DeckParse, StageError::Idlz(e)))?;
+                for spec in &mut specs {
+                    self.config.shared.apply_capability(spec);
+                }
+                let lint_report = match &self.config.shared.lint {
+                    Some(config) => Some(run_lint(|| {
+                        cafemio_lint::lint_idlz_with_deck(&deck, &specs, &layouts, config)
+                    })?),
+                    None => None,
+                };
+                Ok((specs, lint_report))
+            },
+            |(specs, _)| {
+                let values: usize = specs.iter().map(IdealizationSpec::input_value_count).sum();
+                (256 + 16 * values) as u64
+            },
+        )?;
         Ok(ParsedDeck {
             specs,
             lint_report,
@@ -451,52 +468,44 @@ fn run_lint(produce: impl FnOnce() -> LintReport) -> Result<LintReport, Pipeline
     }
 }
 
-/// Idealizes one data set, consulting the stage cache when configured.
+/// Idealizes one data set with [`Idealization::run`], memoized under the
+/// spec's content key when the session has a store.
 ///
-/// On a miss the work runs through a per-data-set
-/// [`IncrementalIdealizer`] kept in the store's slot table, so an
-/// edited deck regenerates only the subdivisions the edit touched; the
-/// finished result is then memoized under its content key. Failures
-/// are never cached.
+/// A miss against a store reports the `idlz.incremental.*` counters as
+/// reused 0 and regenerated = the spec's subdivision count: every miss
+/// idealizes from scratch. A hit, and a session with no store, report
+/// neither.
 fn idealize_spec(
     spec: &IdealizationSpec,
-    index: usize,
-    cache: &Option<(Arc<StageCache>, u64)>,
+    cache: Option<(&StageCache, u64)>,
 ) -> Result<IdealizationResult, IdlzError> {
-    let Some((store, fingerprint)) = cache else {
-        return Idealization::run(spec);
-    };
-    let key = CacheKey::new(CacheStage::Idealize, content::hash_spec(spec), *fingerprint);
-    if let Some(hit) = store.get::<IdealizationResult>(&key) {
-        return Ok((*hit).clone());
-    }
-    // The content key cannot find "the previous version of this data
-    // set", so the incremental state lives in the slot table under a
-    // positional identity instead.
-    let mut slot_hasher = StableHasher::new();
-    slot_hasher.write_str("idlz.incremental");
-    slot_hasher.write_usize(index);
-    slot_hasher.write_u64(*fingerprint);
-    let identity = slot_hasher.finish();
-    let idealizer = store
-        .slot(identity)
-        .and_then(|slot| slot.downcast::<Mutex<IncrementalIdealizer>>().ok())
-        .unwrap_or_else(|| {
-            let fresh = Arc::new(Mutex::new(IncrementalIdealizer::new()));
-            store.set_slot(identity, Arc::clone(&fresh) as _);
-            fresh
-        });
-    let result = idealizer
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .update(spec)?
-        .0;
-    let bytes = 1024
-        + 48 * result.mesh.node_count()
-        + 32 * result.mesh.element_count()
-        + 8192 * result.frames.len();
-    store.put(key, Arc::new(result.clone()), bytes as u64);
-    Ok(result)
+    let entry = cache.map(|(store, fp)| {
+        (
+            store,
+            CacheKey::new(CacheStage::Idealize, content::hash_spec(spec), fp),
+        )
+    });
+    let stored = entry.is_some();
+    cached(
+        entry,
+        || {
+            let result = Idealization::run(spec)?;
+            if stored {
+                cafemio_instrument::counter("idlz.incremental.reused_subdivisions", 0);
+                cafemio_instrument::counter(
+                    "idlz.incremental.regenerated_subdivisions",
+                    spec.subdivisions().len() as u64,
+                );
+            }
+            Ok(result)
+        },
+        |result| {
+            (1024
+                + 48 * result.mesh.node_count()
+                + 32 * result.mesh.element_count()
+                + 8192 * result.frames.len()) as u64
+        },
+    )
 }
 
 /// Stage 1: a parsed deck — one [`IdealizationSpec`] per data set, not
@@ -527,7 +536,10 @@ impl ParsedDeck {
         self.lint_report.as_ref()
     }
 
-    /// Runs IDLZ on every data set.
+    /// Runs IDLZ ([`Idealization::run`]) on every data set. With a stage
+    /// cache, each data set's result is memoized under its spec's
+    /// content key, so a resubmitted spec is a hit and an edited one
+    /// idealizes from scratch.
     ///
     /// # Errors
     ///
@@ -540,13 +552,12 @@ impl ParsedDeck {
             self.lint_report = Some(run_lint(|| cafemio_lint::lint_specs(&self.specs, lint))?);
         }
         let _span = cafemio_instrument::span("pipeline.idealize");
-        let cache = self.config.cache().map(|(store, fp)| (Arc::clone(store), fp));
+        let cache = self.config.cache();
         let sets = self
             .specs
             .into_iter()
-            .enumerate()
-            .map(|(index, spec)| {
-                let result = idealize_spec(&spec, index, &cache)
+            .map(|spec| {
+                let result = idealize_spec(&spec, cache)
                     .map_err(|e| PipelineError::at(Stage::Idealize, StageError::Idlz(e)))?;
                 Ok(IdealizedSet { spec, result })
             })
@@ -656,7 +667,7 @@ impl ModelReady {
         let _span = cafemio_instrument::span("pipeline.solve");
         let backend = self.config.shared.solver;
         let cg = self.config.shared.cg;
-        let cache = self.config.cache().map(|(store, fp)| (Arc::clone(store), fp));
+        let cache = self.config.cache();
         let cases = self
             .models
             .into_iter()
@@ -664,27 +675,19 @@ impl ModelReady {
                 // A model whose force evaluation fails has no content
                 // key; it falls through to the solver, which reports
                 // the error with full stage provenance.
-                let key = cache.as_ref().and_then(|&(_, fp)| {
+                let entry = cache.and_then(|(store, fp)| {
                     content::hash_model(&model)
-                        .map(|hash| CacheKey::new(CacheStage::Solve, hash, fp))
+                        .map(|hash| (store, CacheKey::new(CacheStage::Solve, hash, fp)))
                 });
-                if let (Some((store, _)), Some(key)) = (&cache, key) {
-                    if let Some(hit) = store.get::<Solution>(&key) {
-                        return Ok(SolvedCase {
-                            model,
-                            solution: (*hit).clone(),
-                        });
-                    }
-                }
-                let solution = match backend {
-                    SolverBackend::SparseCg => model.solve_sparse_with(&cg),
-                    direct => model.solve_with(direct),
-                }
+                let solution = cached(
+                    entry,
+                    || match backend {
+                        SolverBackend::SparseCg => model.solve_sparse_with(&cg),
+                        direct => model.solve_with(direct),
+                    },
+                    |solution| (64 + 8 * solution.dofs().len()) as u64,
+                )
                 .map_err(|e| PipelineError::at(Stage::Solve, StageError::Fem(e)))?;
-                if let (Some((store, _)), Some(key)) = (&cache, key) {
-                    let bytes = 64 + 8 * solution.dofs().len();
-                    store.put(key, Arc::new(solution.clone()), bytes as u64);
-                }
                 Ok(SolvedCase { model, solution })
             })
             .collect::<Result<Vec<_>, PipelineError>>()?;
@@ -766,32 +769,22 @@ impl Solved {
     /// A [`PipelineError`] attributed to [`Stage::StressRecovery`].
     pub fn recover(self) -> Result<Recovered, PipelineError> {
         let _span = cafemio_instrument::span("pipeline.stress_recovery");
-        let cache = self.config.cache().map(|(store, fp)| (Arc::clone(store), fp));
+        let cache = self.config.cache();
         let cases = self
             .cases
             .into_iter()
             .map(|case| {
-                let key = cache.as_ref().and_then(|&(_, fp)| {
+                let entry = cache.and_then(|(store, fp)| {
                     content::hash_recovery(&case.model, &case.solution)
-                        .map(|hash| CacheKey::new(CacheStage::StressRecovery, hash, fp))
+                        .map(|hash| (store, CacheKey::new(CacheStage::StressRecovery, hash, fp)))
                 });
-                if let (Some((store, _)), Some(key)) = (&cache, key) {
-                    if let Some(hit) = store.get::<StressField>(&key) {
-                        return Ok(RecoveredCase {
-                            model: case.model,
-                            solution: case.solution,
-                            stresses: (*hit).clone(),
-                        });
-                    }
-                }
-                let stresses = StressField::compute(&case.model, &case.solution).map_err(|e| {
-                    PipelineError::at(Stage::StressRecovery, StageError::Fem(e))
-                })?;
-                if let (Some((store, _)), Some(key)) = (&cache, key) {
-                    let mesh = case.model.mesh();
-                    let bytes = 128 + 32 * (mesh.element_count() + mesh.node_count());
-                    store.put(key, Arc::new(stresses.clone()), bytes as u64);
-                }
+                let mesh = case.model.mesh();
+                let stresses = cached(
+                    entry,
+                    || StressField::compute(&case.model, &case.solution),
+                    |_| (128 + 32 * (mesh.element_count() + mesh.node_count())) as u64,
+                )
+                .map_err(|e| PipelineError::at(Stage::StressRecovery, StageError::Fem(e)))?;
                 Ok(RecoveredCase {
                     model: case.model,
                     solution: case.solution,
@@ -914,33 +907,23 @@ impl Recovered {
                 }
             }
         }
-        let cache = self.config.cache().map(|(store, fp)| (Arc::clone(store), fp));
+        let cache = self.config.cache();
         let mut plots = Vec::with_capacity(self.cases.len());
         let mut audit_checks = 0;
         for case in &self.cases {
             let field = component.field(&case.stresses);
-            let key = cache.as_ref().map(|&(_, fp)| {
+            let entry = cache.map(|(store, fp)| {
                 let hash = content::hash_contour(case.model.mesh(), &field, component, options);
-                CacheKey::new(CacheStage::Contour, hash, fp)
+                (store, CacheKey::new(CacheStage::Contour, hash, fp))
             });
-            let cached = match (&cache, key) {
-                (Some((store, _)), Some(key)) => store.get::<OsplResult>(&key),
-                _ => None,
-            };
-            let contours = match cached {
-                Some(hit) => (*hit).clone(),
-                None => {
-                    let contours = Ospl::run(case.model.mesh(), &field, options)
-                        .map_err(|e| PipelineError::at(Stage::Contour, StageError::Ospl(e)))?;
-                    if let (Some((store, _)), Some(key)) = (&cache, key) {
-                        let bytes = 8192
-                            + 128 * contours.isograms.len() as u64
-                            + 8 * contours.levels.len() as u64;
-                        store.put(key, Arc::new(contours.clone()), bytes);
-                    }
-                    contours
-                }
-            };
+            let contours = cached(
+                entry,
+                || Ospl::run(case.model.mesh(), &field, options),
+                |contours| {
+                    8192 + 128 * contours.isograms.len() as u64 + 8 * contours.levels.len() as u64
+                },
+            )
+            .map_err(|e| PipelineError::at(Stage::Contour, StageError::Ospl(e)))?;
             // Audit invariants are re-derived even on cache hits, so a
             // warm session proves the same properties a cold one does.
             if let Some(audit) = &self.config.shared.audit {

@@ -7,7 +7,7 @@
 //! through renumbering quarters the solve time — experiment C4 measures
 //! exactly that.
 
-use crate::FemError;
+use crate::{FemError, PIVOT_RATIO};
 
 /// A symmetric positive-definite matrix stored by diagonals within a fixed
 /// semi-bandwidth.
@@ -163,7 +163,8 @@ impl BandMatrix {
     /// # Errors
     ///
     /// [`FemError::SingularMatrix`] when the matrix is not positive
-    /// definite, [`FemError::RhsLength`] when `b` has the wrong length.
+    /// definite: a pivot falls to 1e-10 of its diagonal or below.
+    /// [`FemError::RhsLength`] when `b` has the wrong length.
     pub fn solve(self, b: &[f64]) -> Result<Vec<f64>, FemError> {
         self.cholesky()?.solve(b)
     }
@@ -174,7 +175,7 @@ impl BandMatrix {
     /// # Errors
     ///
     /// [`FemError::SingularMatrix`] when the matrix is not positive
-    /// definite.
+    /// definite: a pivot falls to 1e-10 of its diagonal or below.
     pub fn cholesky(mut self) -> Result<CholeskyFactor, FemError> {
         self.factorize()?;
         Ok(CholeskyFactor { inner: self })
@@ -186,18 +187,20 @@ impl BandMatrix {
         let bw = self.bandwidth;
         for i in 0..n {
             // Diagonal.
-            let mut diag = self.storage[i][0];
+            let a_ii = self.storage[i][0];
+            let mut diag = a_ii;
             let lo = i.saturating_sub(bw);
             for k in lo..i {
                 let l_ki = self.storage[k][i - k];
                 diag -= l_ki * l_ki;
             }
             // NaN fails every comparison, so test finiteness explicitly
-            // rather than letting a poisoned pivot sail past `<= 0.0`.
+            // rather than letting a poisoned pivot sail past the floor.
             if !diag.is_finite() {
                 return Err(FemError::NonFinite { equation: i });
             }
-            if diag <= 0.0 {
+            // `diag` is l_ii², the LDLᵀ pivot d_i.
+            if diag <= PIVOT_RATIO * a_ii {
                 return Err(FemError::SingularMatrix { equation: i });
             }
             let l_ii = diag.sqrt();

@@ -5,7 +5,7 @@
 //! renumbering pays off through the *profile* even when the worst-case
 //! bandwidth is stuck (reverse Cuthill–McKee's specialty).
 
-use crate::FemError;
+use crate::{FemError, PIVOT_RATIO};
 
 /// A symmetric matrix in skyline storage: column `j` holds rows
 /// `first_row[j] ..= j`.
@@ -135,8 +135,10 @@ impl SkylineMatrix {
     ///
     /// # Errors
     ///
-    /// [`FemError::SingularMatrix`] when a pivot vanishes or turns
-    /// negative (the structural matrices here are positive definite),
+    /// [`FemError::SingularMatrix`] when a pivot falls to 1e-10 of its
+    /// column's diagonal or below (the structural matrices here are
+    /// positive definite; a free rigid-body mode leaves a round-off
+    /// pivot),
     /// [`FemError::NonFinite`] when a NaN or infinity reaches a pivot,
     /// and [`FemError::RhsLength`] when `b` has the wrong length.
     pub fn solve(mut self, b: &[f64]) -> Result<Vec<f64>, FemError> {
@@ -176,7 +178,8 @@ impl SkylineMatrix {
                 self.columns[j][i - fj] = sum; // g_ij
             }
             // d_j = a_jj − Σ g_ij² / d_i, and convert g to l = g / d.
-            let mut diag = self.columns[j][j - fj];
+            let a_jj = self.columns[j][j - fj];
+            let mut diag = a_jj;
             for i in fj..j {
                 let fi = self.first_row[i];
                 let d_i = self.columns[i][i - fi];
@@ -186,11 +189,11 @@ impl SkylineMatrix {
                 self.columns[j][i - fj] = l;
             }
             // NaN fails every comparison, so test finiteness explicitly
-            // rather than letting a poisoned pivot sail past `<= 0.0`.
+            // rather than letting a poisoned pivot sail past the floor.
             if !diag.is_finite() {
                 return Err(FemError::NonFinite { equation: j });
             }
-            if diag <= 0.0 {
+            if diag <= PIVOT_RATIO * a_jj {
                 return Err(FemError::SingularMatrix { equation: j });
             }
             self.columns[j][j - fj] = diag;

@@ -591,8 +591,9 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// # Errors
 ///
 /// * [`FemError::RhsLength`] when `b` does not match the matrix order.
-/// * [`FemError::SingularMatrix`] when a diagonal entry or a pivot of
-///   the complete factor is not positive, or the iteration meets a
+/// * [`FemError::SingularMatrix`] when a diagonal entry is not positive,
+///   a pivot of the complete factor falls to 1e-10 of its diagonal or
+///   below (as in `Skyline`), or the iteration meets a
 ///   direction of non-positive curvature — the matrix is not positive
 ///   definite (an under-constrained model). The complete factor names
 ///   the failing equation.

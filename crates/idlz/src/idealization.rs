@@ -109,15 +109,13 @@ impl Idealization {
 }
 
 /// One subdivision's generated grid payload: its grid points and element
-/// triples (in grid coordinates) — the unit the incremental region store
-/// caches.
-pub(crate) type SubGrid = (Vec<GridPoint>, Vec<[GridPoint; 3]>);
+/// triples (in grid coordinates).
+type SubGrid = (Vec<GridPoint>, Vec<[GridPoint; 3]>);
 
-/// The pre-pipeline structural checks: subdivision count and grid limits,
-/// non-empty deck, and shape lines naming known subdivisions. Shared by
-/// the cold path ([`Idealization::run`]) and the incremental path
-/// ([`IncrementalIdealizer::update`](crate::IncrementalIdealizer::update)).
-pub(crate) fn validate_spec(spec: &IdealizationSpec) -> Result<(), IdlzError> {
+/// The pre-pipeline structural checks of [`Idealization::run`]:
+/// subdivision count and grid limits, non-empty deck, and shape lines
+/// naming known subdivisions.
+fn validate_spec(spec: &IdealizationSpec) -> Result<(), IdlzError> {
     let limits = spec.limits();
     limits.check_subdivisions(spec.subdivisions().len())?;
     if spec.subdivisions().is_empty() {
@@ -139,13 +137,11 @@ pub(crate) fn validate_spec(spec: &IdealizationSpec) -> Result<(), IdlzError> {
     Ok(())
 }
 
-/// Everything downstream of per-subdivision grid generation: merge,
-/// element creation, shaping, reform, renumbering, stats, and plots.
-/// Takes the open `idlz.grid` span so the merge is timed under the same
-/// span whether the payloads were freshly generated or reused from the
-/// region store — the two paths are structurally identical from here on,
-/// which is what makes warm results bit-identical to cold ones.
-pub(crate) fn assemble(
+/// Everything of [`Idealization::run`] downstream of per-subdivision grid
+/// generation: merge, element creation, shaping, reform, renumbering,
+/// stats, and plots. Takes the open `idlz.grid` span so the merge is
+/// timed under the same span as the generation before it.
+fn assemble(
     spec: &IdealizationSpec,
     per_sub: &[SubGrid],
     grid_span: cafemio_instrument::Span,

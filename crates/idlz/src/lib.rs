@@ -51,20 +51,16 @@
 pub mod deck;
 mod error;
 mod idealization;
-mod incremental;
 mod limits;
 mod listing;
 mod plot;
 mod reform;
-mod region;
 mod shape;
 mod spec;
 mod subdivision;
 
 pub use error::IdlzError;
 pub use idealization::{Idealization, IdealizationResult, IdlzStats};
-pub use incremental::{IncrementalIdealizer, IncrementalStats};
-pub use region::RegionStore;
 pub use limits::{Capability, Limits};
 pub use listing::listing;
 pub use plot::{plot_mesh, plot_subdivision_numbers, PlotOptions};

@@ -12,10 +12,11 @@
 //!    answers every upstream stage from the store — zero `fem.*` spans
 //!    on the warm run — and still produces output bit-identical to an
 //!    uncached session.
-//! 4. With audit mode on, an edited shape line re-idealizes
-//!    incrementally (unedited subdivisions reused) and the audit
-//!    invariants are re-derived on the incrementally-produced mesh,
-//!    which is bit-identical to a cold idealization of the edited spec.
+//! 4. With audit mode on, an edited shape line misses the idealize
+//!    stage and re-idealizes from scratch (reused 0, regenerated = every
+//!    subdivision), the audit invariants are re-derived on the mesh that
+//!    miss produced, and that mesh is bit-identical to a cold, cache-less
+//!    idealization of the edited spec.
 //!
 //! The instrumented runs each execute under their own
 //! `cafemio_instrument::record` scope, which captures only the calling
@@ -201,9 +202,20 @@ fn a_contour_only_edit_reuses_every_upstream_artifact() {
         Some(after.hits),
         "{name}: cache.hits counter out of step with the store"
     );
+    // An idealize hit idealizes nothing, so it reports no reuse counts.
+    for counter in [
+        "idlz.incremental.reused_subdivisions",
+        "idlz.incremental.regenerated_subdivisions",
+    ] {
+        assert_eq!(
+            report.counter(counter),
+            None,
+            "{name}: a hit reported {counter}"
+        );
+    }
 
-    // And the incrementally-answered session is bit-identical to an
-    // uncached one with the same edited options.
+    // And the store-answered session is bit-identical to an uncached one
+    // with the same edited options.
     let plain = run_full(&SessionConfig::new(), text, &edited).unwrap();
     assert_eq!(
         format!("{warm:?}"),
@@ -279,37 +291,37 @@ fn audit_mode_re_derives_invariants_on_incrementally_produced_meshes() {
 
     let store = Arc::new(StageCache::new());
     let audited = strict.clone().cache(Arc::clone(&store));
-    // Cold run seeds the store and its incremental region table.
+    // Cold run seeds the store.
     run_specs(&audited, &spec).expect("cold idealization under strict audit");
 
-    // The edited spec re-idealizes incrementally; the recorded run
-    // proves both the reuse and the audit re-check.
+    // The edited spec misses the idealize stage and re-idealizes from
+    // scratch; the recorded run proves both the counts and the audit
+    // re-check.
     let (warm, report) = cafemio_instrument::record(|| run_specs(&audited, &edited));
-    let warm = warm.expect("incremental idealization under strict audit");
+    let warm = warm.expect("store-backed idealization under strict audit");
 
-    assert!(
-        report.counter("idlz.incremental.reused_subdivisions").unwrap_or(0) >= 1,
-        "unedited subdivisions should be reused: {:?}",
+    assert_eq!(
+        report.counter("idlz.incremental.reused_subdivisions"),
+        Some(0),
+        "a miss reuses nothing: {:?}",
         report.counters
     );
-    assert!(
-        report
-            .counter("idlz.incremental.regenerated_subdivisions")
-            .unwrap_or(0)
-            >= 1,
-        "the edited subdivision must regenerate"
+    assert_eq!(
+        report.counter("idlz.incremental.regenerated_subdivisions"),
+        Some(edited.subdivisions().len() as u64),
+        "a miss regenerates every subdivision"
     );
     assert!(
         report.spans.iter().any(|s| s.name == "audit.idealize"),
-        "audit must re-derive its invariants on the incremental mesh"
+        "audit must re-derive its invariants on the store-backed mesh"
     );
 
-    // The incrementally-produced result is bit-identical to a cold,
-    // cache-less idealization of the edited spec.
+    // The store-backed result is bit-identical to a cold, cache-less
+    // idealization of the edited spec.
     let cold = run_specs(&strict, &edited).unwrap();
     assert_eq!(
         format!("{:?}", warm.sets()),
         format!("{:?}", cold.sets()),
-        "incremental mesh diverged from the cold mesh"
+        "store-backed mesh diverged from the cold mesh"
     );
 }

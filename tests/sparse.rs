@@ -115,40 +115,24 @@ fn power_of_two_load_scales_scale_every_backend_exactly() {
     }
 }
 
-/// An ill-conditioned model (12 orders of magnitude of stiffness
-/// contrast) under a starved iteration budget, with a tolerance no
-/// double-precision solve reaches, must fail with the typed
-/// [`FemError::CgNoConvergence`] carrying the budget, the reached
-/// residual, and the tolerance — not a panic, not a silently wrong
-/// answer.
+/// A starved iteration budget, with a tolerance no double-precision
+/// solve reaches, must fail with the typed [`FemError::CgNoConvergence`]
+/// carrying the budget, the reached residual, and the tolerance — not a
+/// panic, not a silently wrong answer. The 40 × 40 square runs on IC(0),
+/// which needs far more than 10 iterations.
+///
+/// The complete factor reaches even this tolerance within the budget
+/// on every stiffness-contrast strip whose pivots clear the direct
+/// factors' 1e-10 floor (rigid halves up to 1e11 against a soft 30).
+/// At 12 orders of contrast the rigid half floats on supports 1e12
+/// times softer: its pivots fall to 7e-13 of their diagonals, below the
+/// floor, and the solve reports the strip singular.
 #[test]
 fn cg_non_convergence_is_a_typed_error() {
-    let mut spec = IdealizationSpec::new("ILL CONDITIONED STRIP");
-    spec.add_subdivision(Subdivision::rectangular(1, (0, 0), (8, 2)).unwrap());
-    spec.add_shape_line(
-        1,
-        ShapeLine::straight((0, 0), (8, 0), Point::new(0.0, 0.0), Point::new(8.0, 0.0)),
-    );
-    spec.add_shape_line(
-        1,
-        ShapeLine::straight((0, 2), (8, 2), Point::new(0.0, 2.0), Point::new(8.0, 2.0)),
-    );
-    let result = Idealization::run(&spec).unwrap();
-    let mut model = standard_setup(&result.mesh).unwrap();
-    // Soft left half, rigid right half: a stiffness contrast of 12
-    // orders of magnitude. The complete factor solves it to round-off in
-    // a step or two, so the tolerance is one no double-precision solve
-    // reaches, and the budget runs out whichever preconditioner runs.
-    for (id, _) in result.mesh.elements() {
-        if result.mesh.triangle(id).centroid().x > 4.0 {
-            model.set_element_material(id, Material::isotropic(3.0e13, 0.3));
-        } else {
-            model.set_element_material(id, Material::isotropic(30.0, 0.3));
-        }
-    }
     let starved = CgOptions::new()
         .with_tolerance(1e-30)
         .with_max_iterations(10);
+    let model = plate_model(40, 10.0);
     let err = model.solve_sparse_with(&starved).unwrap_err();
     match err {
         FemError::CgNoConvergence {
@@ -167,6 +151,71 @@ fn cg_non_convergence_is_a_typed_error() {
         message.starts_with("conjugate gradient did not converge in 10 iterations"),
         "{message}"
     );
+
+    let mut spec = IdealizationSpec::new("ILL CONDITIONED STRIP");
+    spec.add_subdivision(Subdivision::rectangular(1, (0, 0), (8, 2)).unwrap());
+    spec.add_shape_line(
+        1,
+        ShapeLine::straight((0, 0), (8, 0), Point::new(0.0, 0.0), Point::new(8.0, 0.0)),
+    );
+    spec.add_shape_line(
+        1,
+        ShapeLine::straight((0, 2), (8, 2), Point::new(0.0, 2.0), Point::new(8.0, 2.0)),
+    );
+    let result = Idealization::run(&spec).unwrap();
+    let mut strip = standard_setup(&result.mesh).unwrap();
+    for (id, _) in result.mesh.elements() {
+        if result.mesh.triangle(id).centroid().x > 4.0 {
+            strip.set_element_material(id, Material::isotropic(3.0e13, 0.3));
+        } else {
+            strip.set_element_material(id, Material::isotropic(30.0, 0.3));
+        }
+    }
+    let outcome = strip.solve_sparse_with(&starved);
+    assert!(
+        matches!(outcome, Err(FemError::SingularMatrix { .. })),
+        "{outcome:?}"
+    );
+}
+
+/// A 20 × 20 plane-strain unit square held at one node only can still
+/// spin about it. That rigid rotation eliminates to a round-off pivot,
+/// 1e-14 of its diagonal here, not to an exact zero, and a bare
+/// `d_j <= 0` test let `Band` and `Skyline` solve it with displacements
+/// of order 1e9. The relative pivot floor rejects it on every factor,
+/// `SparseCg`'s complete factor included, at the same equation.
+#[test]
+fn a_model_held_at_one_node_is_singular_on_every_factor() {
+    let mut spec = plate::spec(20, 20, 1.0, 1.0);
+    let mut options = spec.options();
+    options.plots = false;
+    spec.set_options(options);
+    let mesh = Idealization::run(&spec).unwrap().mesh;
+    let at = |x: f64, y: f64| {
+        mesh.nodes()
+            .find(|(_, node)| {
+                (node.position.x - x).abs() < 1e-9 && (node.position.y - y).abs() < 1e-9
+            })
+            .map(|(id, _)| id)
+            .expect("grid node")
+    };
+    let mut model = FemModel::new(
+        mesh.clone(),
+        AnalysisKind::PlaneStrain,
+        Material::isotropic(30.0e6, 0.3),
+    );
+    model.fix_both(at(0.2, 0.2));
+    model.add_force(at(1.0, 1.0), 0.0, -1000.0);
+    // The rotation is the last mode left when elimination reaches the
+    // last equation.
+    let last = 2 * mesh.node_count() - 1;
+    for backend in [SolverBackend::Band, SolverBackend::Skyline, SolverBackend::SparseCg] {
+        let outcome = model.solve_with(backend);
+        assert!(
+            matches!(outcome, Err(FemError::SingularMatrix { equation }) if equation == last),
+            "{backend:?}: {outcome:?}"
+        );
+    }
 }
 
 #[test]
