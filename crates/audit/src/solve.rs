@@ -114,7 +114,8 @@ pub fn check_equilibrium(
     Ok(checks)
 }
 
-/// Re-solves the model with the dense and skyline backends and compares
+/// Re-solves the model with the dense oracle
+/// ([`FemModel::solve_dense`]) and the skyline backend and compares
 /// each against the session's solution, `max|Δu| / max|u|`.
 ///
 /// Three independent factorization paths agreeing to nine digits is

@@ -1,6 +1,6 @@
 //! The per-figure experiment runners (see `DESIGN.md` §3 for the index).
 
-use cafemio::fem::BandMatrix;
+use cafemio::fem::{dof_profile, BandMatrix, SkylineMatrix};
 use cafemio::idlz::{plot_mesh, Idealization, IdealizationSpec, PlotOptions, Subdivision};
 use cafemio::models::{catalog, cylinder, hatch, joint, plate, ring, tbeam, viewport};
 use cafemio::ospl::automatic_interval;
@@ -439,28 +439,32 @@ pub fn claim_c3() -> Fallible<FigureReport> {
     Ok(report)
 }
 
-/// C4: the bandwidth ablation — storage and factor cost with and without
-/// renumbering (timings live in `benches/bandwidth.rs`).
+/// C4: the bandwidth ablation — dof bandwidth and band and skyline
+/// storage with and without renumbering, on every catalog model and on a
+/// 60 × 4 strip whose plain numbering is poor: rows of 61 nodes give it a
+/// bandwidth of 61, which Cuthill–McKee collapses to 5. The rows are
+/// exact counts; the band factor's flops grow with the square of the dof
+/// bandwidth.
 pub fn claim_c4() -> Fallible<FigureReport> {
     let mut report = FigureReport::new("C4", "Bandwidth renumbering ablation");
-    for entry in catalog() {
-        let spec = (entry.spec)();
-        let renumbered = Idealization::run(&spec)?;
-        let mut plain_spec = spec.clone();
-        plain_spec.set_options(cafemio::idlz::Options {
+    let storage = |mesh: &TriMesh| {
+        let dof_bandwidth = 2 * mesh.bandwidth() + 1;
+        let band = BandMatrix::new(2 * mesh.node_count(), dof_bandwidth).stored_entries();
+        let skyline = SkylineMatrix::new(&dof_profile(mesh)).stored_entries();
+        (dof_bandwidth, band, skyline)
+    };
+    let mut specs: Vec<_> = catalog().iter().map(|e| (e.name, (e.spec)())).collect();
+    specs.push(("60x4 strip", plate::spec(60, 4, 15.0, 1.0)));
+    for (name, mut spec) in specs {
+        let (bw, band, skyline) = storage(&Idealization::run(&spec)?.mesh);
+        spec.set_options(cafemio::idlz::Options {
             renumber: false,
             ..cafemio::idlz::Options::default()
         });
-        let plain = Idealization::run(&plain_spec)?;
-        let ndof = 2 * renumbered.mesh.node_count();
-        let stored = |bw: usize| BandMatrix::new(ndof, 2 * bw + 1).stored_entries();
+        let (plain_bw, plain_band, plain_skyline) = storage(&Idealization::run(&spec)?.mesh);
         report.row(format!(
-            "{:<22} bandwidth {:>3} -> {:>3}, band storage {:>6} -> {:>6} entries",
-            entry.name,
-            plain.stats.bandwidth_after,
-            renumbered.stats.bandwidth_after,
-            stored(plain.stats.bandwidth_after),
-            stored(renumbered.stats.bandwidth_after),
+            "{name:<22} dof bandwidth {plain_bw:>3} -> {bw:>3}, band storage {plain_band:>6} -> \
+             {band:>6}, skyline storage {plain_skyline:>6} -> {skyline:>6} entries"
         ));
     }
     Ok(report)

@@ -3,14 +3,14 @@
 //! The experiment harness: one runner per table/figure of the paper (the
 //! index lives in `DESIGN.md` §3). The [`experiments`] module produces
 //! [`FigureReport`]s — printable rows plus the regenerated plot frames —
-//! shared by the `figures` binary (which writes the SVGs) and the
-//! `cargo bench` harnesses (which time the pipelines via [`timing`]).
+//! which the `figures` binary prints and writes as SVGs. The rows hold no
+//! timings: wall-clock time is the `perf` benchmark's job
+//! (`src/bin/perf`, driven by `BENCHMARK.json`).
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod jobs;
 pub mod mutate;
-pub mod timing;
 pub mod validate;
 
 use cafemio::plotter::Frame;

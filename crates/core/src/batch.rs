@@ -70,15 +70,13 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cafemio_fem::{CgOptions, FemError, FemModel, SolverBackend};
-use cafemio_idlz::Capability;
+use cafemio_fem::{FemError, FemModel};
 use cafemio_instrument::{add, record, span, PerfReport, SpanRecord};
 use cafemio_mesh::TriMesh;
 use cafemio_ospl::ContourOptions;
 
-use crate::audit::AuditOptions;
 use crate::config::SessionConfig;
-use crate::lint::{LintConfig, LintReport};
+use crate::lint::LintReport;
 use crate::pipeline::{PipelineBuilder, PipelineError, StageError, StressComponent, StressPlot};
 
 /// The model-setup callback a job carries: boundary conditions and loads
@@ -268,31 +266,6 @@ impl BatchOptions {
     /// The shared session configuration.
     pub fn session_config(&self) -> &SessionConfig {
         &self.config
-    }
-
-    /// The configured audit options, if audit mode is on.
-    pub fn audit_options(&self) -> Option<&AuditOptions> {
-        self.config.audit_options()
-    }
-
-    /// The configured lint severities, if lint mode is on.
-    pub fn lint_options(&self) -> Option<&LintConfig> {
-        self.config.lint_options()
-    }
-
-    /// The configured capability mode.
-    pub fn capability_mode(&self) -> Capability {
-        self.config.capability_mode()
-    }
-
-    /// The configured solver backend.
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.config.solver_backend()
-    }
-
-    /// The configured conjugate-gradient options.
-    pub fn cg_solver_options(&self) -> CgOptions {
-        self.config.cg_solver_options()
     }
 }
 
@@ -990,7 +963,9 @@ fn publish(ticket: &TicketShared, outcome: std::thread::Result<JobOutcome>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cafemio_fem::{AnalysisKind, Material};
+    use crate::audit::AuditOptions;
+    use crate::lint::LintConfig;
+    use cafemio_fem::{AnalysisKind, CgOptions, Material, SolverBackend};
 
     const PLATE_DECK: &str = concat!(
         "    1\n",
@@ -1331,7 +1306,10 @@ mod tests {
         assert_eq!(options.policy(), ErrorPolicy::CollectAll);
         let options = BatchOptions::new()
             .config(SessionConfig::new().cg_options(CgOptions::new().with_max_iterations(7)));
-        assert_eq!(options.cg_solver_options().max_iterations, 7);
+        assert_eq!(
+            options.session_config().cg_solver_options().max_iterations,
+            7
+        );
     }
 
     #[test]

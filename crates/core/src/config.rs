@@ -169,10 +169,11 @@ impl SessionConfig {
             Capability::Historical => 0,
             Capability::LargeMesh => 1,
         });
+        // 2 was the dense backend's; the others keep their values, so
+        // every cache key stays as it was.
         hasher.write_u8(match self.solver {
             SolverBackend::Band => 0,
             SolverBackend::Skyline => 1,
-            SolverBackend::Dense => 2,
             SolverBackend::SparseCg => 3,
         });
         hasher.write_f64(self.cg.tolerance);

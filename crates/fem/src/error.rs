@@ -65,6 +65,18 @@ pub enum FemError {
         /// The tolerance that was not met.
         tolerance: f64,
     },
+    /// The conjugate-gradient iteration met a search direction `p` whose
+    /// curvature `pᵀ·A·p` is not positive (or not finite): the matrix is
+    /// not positive definite — almost always an under-constrained model.
+    /// Raised on the IC(0) and Jacobi paths; the complete factor rejects
+    /// such a matrix earlier, as [`SingularMatrix`](FemError::SingularMatrix)
+    /// at its failing pivot.
+    CgBreakdown {
+        /// The iteration (counted from 1) whose direction broke down.
+        iteration: usize,
+        /// The curvature `pᵀ·A·p` found there.
+        curvature: f64,
+    },
     /// A non-finite coefficient (NaN or infinity) entered the system —
     /// usually degenerate geometry poisoning a stiffness term. Solvers
     /// refuse to propagate it into a garbage "solution".
@@ -145,6 +157,15 @@ impl fmt::Display for FemError {
                 f,
                 "conjugate gradient did not converge in {iterations} iterations \
                  (relative residual {residual:.3e}, tolerance {tolerance:.0e})"
+            ),
+            FemError::CgBreakdown {
+                iteration,
+                curvature,
+            } => write!(
+                f,
+                "conjugate gradient broke down at iteration {iteration}: search \
+                 direction curvature {curvature:.3e} is not positive (model may be \
+                 under-constrained)"
             ),
             FemError::NonFinite { equation } => write!(
                 f,

@@ -82,6 +82,14 @@ mod thermal_stress;
 /// large-mesh strip at 1.7e-4. A stiffness contrast of 12 orders of
 /// magnitude inside one model leaves pivots near 7e-13, below the floor,
 /// and is reported singular too.
+///
+/// [`DenseMatrix`] pivots by rows, so its diagonal moves with each swap.
+/// It rejects column `j` when the partial pivot (the largest magnitude
+/// elimination leaves in rows `j..`) is at or below `PIVOT_RATIO` times
+/// the largest magnitude column `j` held before elimination, a
+/// reference no row swap changes. By that measure the catalog's
+/// smallest pivot is 3.4e-4, and that of the orthotropic compliance
+/// matrices `inverse` runs on 0.92.
 pub(crate) const PIVOT_RATIO: f64 = 1e-10;
 
 pub use band::{BandMatrix, CholeskyFactor};

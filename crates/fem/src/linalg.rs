@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use crate::FemError;
+use crate::{FemError, PIVOT_RATIO};
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -148,7 +148,8 @@ impl DenseMatrix {
     ///
     /// # Errors
     ///
-    /// [`FemError::SingularMatrix`] when no usable pivot exists.
+    /// [`FemError::SingularMatrix`] when a column's pivot falls to the
+    /// relative floor (see [`solve`](Self::solve)).
     ///
     /// # Panics
     ///
@@ -159,10 +160,7 @@ impl DenseMatrix {
         let mut a = self.clone();
         let mut inv = DenseMatrix::identity(n);
         for col in 0..n {
-            let pivot_row = partial_pivot(&a, col, n)?;
-            if a[(pivot_row, col)].abs() < 1e-300 {
-                return Err(FemError::SingularMatrix { equation: col });
-            }
+            let pivot_row = self.pivot(&a, col)?;
             if pivot_row != col {
                 a.swap_rows(pivot_row, col);
                 inv.swap_rows(pivot_row, col);
@@ -192,9 +190,16 @@ impl DenseMatrix {
     /// Solves `self · x = b` by LU with partial pivoting (dense reference
     /// solver).
     ///
+    /// Column `j` is singular when its partial pivot, the largest
+    /// magnitude elimination leaves in it, is at or below 1e-10 of the
+    /// largest magnitude it held before elimination: the relative floor
+    /// of `Band` and `Skyline`, against a reference that row swaps do
+    /// not move.
+    ///
     /// # Errors
     ///
     /// [`FemError::SingularMatrix`] for singular systems,
+    /// [`FemError::NonFinite`] when a NaN or infinity reaches a pivot,
     /// [`FemError::RhsLength`] when `b` has the wrong length.
     ///
     /// # Panics
@@ -213,10 +218,7 @@ impl DenseMatrix {
         let mut x: Vec<f64> = b.to_vec();
         // Forward elimination with partial pivoting.
         for col in 0..n {
-            let pivot_row = partial_pivot(&a, col, n)?;
-            if a[(pivot_row, col)].abs() < 1e-300 {
-                return Err(FemError::SingularMatrix { equation: col });
-            }
+            let pivot_row = self.pivot(&a, col)?;
             if pivot_row != col {
                 a.swap_rows(pivot_row, col);
                 x.swap(pivot_row, col);
@@ -256,6 +258,30 @@ impl DenseMatrix {
         worst
     }
 
+    /// Selects the partial pivot of column `col` of `a`, this matrix
+    /// part-way through elimination, over rows `col..`, and checks it
+    /// against the relative floor of [`solve`](Self::solve).
+    ///
+    /// Uses `total_cmp`, under which `NaN.abs()` sorts above every finite
+    /// magnitude — so if the column holds any non-finite entry it is
+    /// chosen as the pivot and reported as [`FemError::NonFinite`]
+    /// instead of being silently folded into the elimination.
+    fn pivot(&self, a: &DenseMatrix, col: usize) -> Result<usize, FemError> {
+        let pivot_row = (col..self.rows)
+            .max_by(|&r1, &r2| a[(r1, col)].abs().total_cmp(&a[(r2, col)].abs()))
+            // invariant: callers pass col < rows, so the range is never empty.
+            .expect("non-empty pivot range");
+        let pivot = a[(pivot_row, col)].abs();
+        if !pivot.is_finite() {
+            return Err(FemError::NonFinite { equation: col });
+        }
+        let scale = (0..self.rows).fold(0.0f64, |m, r| m.max(self[(r, col)].abs()));
+        if pivot <= PIVOT_RATIO * scale {
+            return Err(FemError::SingularMatrix { equation: col });
+        }
+        Ok(pivot_row)
+    }
+
     fn swap_rows(&mut self, r1: usize, r2: usize) {
         if r1 == r2 {
             return;
@@ -264,23 +290,6 @@ impl DenseMatrix {
             self.data.swap(r1 * self.cols + j, r2 * self.cols + j);
         }
     }
-}
-
-/// Selects the partial pivot for `col` over rows `col..n`.
-///
-/// Uses `total_cmp`, under which `NaN.abs()` sorts above every finite
-/// magnitude — so if the column holds any non-finite entry it is chosen
-/// as the pivot and reported as [`FemError::NonFinite`] instead of being
-/// silently folded into the elimination.
-fn partial_pivot(a: &DenseMatrix, col: usize, n: usize) -> Result<usize, FemError> {
-    let pivot_row = (col..n)
-        .max_by(|&r1, &r2| a[(r1, col)].abs().total_cmp(&a[(r2, col)].abs()))
-        // invariant: callers pass col < n, so the range is never empty.
-        .expect("non-empty pivot range");
-    if !a[(pivot_row, col)].is_finite() {
-        return Err(FemError::NonFinite { equation: col });
-    }
-    Ok(pivot_row)
 }
 
 impl Index<(usize, usize)> for DenseMatrix {
@@ -318,6 +327,13 @@ mod tests {
     fn identity_solves_trivially() {
         let m = DenseMatrix::identity(3);
         assert_eq!(m.solve(&[1.0, 2.0, 3.0]).unwrap(), vec![1.0, 2.0, 3.0]);
+        // The pivot floor is relative: an identity scaled by 2^-1000
+        // (below 1e-300) still solves, exactly.
+        let mut tiny = m.clone();
+        let scale = 2f64.powi(-1000);
+        tiny.scale(scale);
+        let b = [scale, 2.0 * scale, 3.0 * scale];
+        assert_eq!(tiny.solve(&b).unwrap(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -330,12 +346,19 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(
-            m.solve(&[1.0, 2.0]),
-            Err(FemError::SingularMatrix { .. })
-        ));
-        assert!(m.inverse().is_err());
+        // The second matrix's second column eliminates to 1e-6 against
+        // entries of 1e6: far above an absolute floor, 1e-12 of the
+        // column.
+        for m in [
+            DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]),
+            DenseMatrix::from_rows(&[&[1e6, 1e6], &[1e6, 1e6 + 1e-6]]),
+        ] {
+            assert!(matches!(
+                m.solve(&[1.0, 2.0]),
+                Err(FemError::SingularMatrix { equation: 1 })
+            ));
+            assert!(m.inverse().is_err());
+        }
     }
 
     #[test]

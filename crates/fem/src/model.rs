@@ -12,12 +12,12 @@ use crate::{BandMatrix, DenseMatrix, FemError, Material};
 
 /// Which linear solver a [`FemModel`] solve routes through.
 ///
-/// The three direct backends are the 1970 technology class (storage and
+/// The two direct backends are the 1970 technology class (storage and
 /// flops grow with the bandwidth); [`SparseCg`](SolverBackend::SparseCg)
-/// is the large-mesh path — CSR storage proportional to the nonzeros,
-/// solved by IC(0)-preconditioned conjugate gradients with a counted
-/// Jacobi fall-back. See
-/// `docs/SOLVERS.md` for the selection guide.
+/// is the large-mesh path, with CSR storage proportional to the
+/// nonzeros. The dense factorization is no backend: it is the reference
+/// oracle [`FemModel::solve_dense`]. See `docs/SOLVERS.md` for the
+/// selection guide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverBackend {
     /// Banded Cholesky — the paper-era default.
@@ -25,19 +25,17 @@ pub enum SolverBackend {
     Band,
     /// Skyline (profile) LDLᵀ.
     Skyline,
-    /// Dense reference factorization.
-    Dense,
-    /// CSR assembly + IC(0)-preconditioned conjugate gradients, with a
-    /// counted Jacobi fall-back when an incomplete pivot breaks down.
+    /// CSR assembly + conjugate gradients, preconditioned by the
+    /// complete skyline factor where the profile is cheap and by IC(0),
+    /// with a counted Jacobi fall-back, elsewhere.
     SparseCg,
 }
 
 impl SolverBackend {
     /// Every backend, in documentation order.
-    pub const ALL: [SolverBackend; 4] = [
+    pub const ALL: [SolverBackend; 3] = [
         SolverBackend::Band,
         SolverBackend::Skyline,
-        SolverBackend::Dense,
         SolverBackend::SparseCg,
     ];
 }
@@ -47,7 +45,6 @@ impl std::fmt::Display for SolverBackend {
         f.write_str(match self {
             SolverBackend::Band => "band",
             SolverBackend::Skyline => "skyline",
-            SolverBackend::Dense => "dense",
             SolverBackend::SparseCg => "sparse-cg",
         })
     }
@@ -274,12 +271,16 @@ impl FemModel {
         })
     }
 
-    /// Assembles and solves with the dense reference solver (used to
-    /// verify the banded path and to benchmark the bandwidth ablation).
+    /// Assembles and solves by dense LU with partial pivoting: the
+    /// reference oracle, not a backend. It shares no storage scheme or
+    /// factorization with `Band`, `Skyline` or `SparseCg`, so the strict
+    /// audit's differential check and the tests re-solve with it to
+    /// catch a fault in theirs. Its O(n³) cost keeps it to checks.
     ///
     /// # Errors
     ///
-    /// As for [`solve`](Self::solve).
+    /// As for [`solve`](Self::solve); the pivot floor is stated at
+    /// [`DenseMatrix::solve`].
     pub fn solve_dense(&self) -> Result<Solution, FemError> {
         let (matrix, rhs) = self.assemble_dense()?;
         let displacements = matrix.solve(&rhs)?;
@@ -321,7 +322,6 @@ impl FemModel {
         match backend {
             SolverBackend::Band => self.solve(),
             SolverBackend::Skyline => self.solve_skyline(),
-            SolverBackend::Dense => self.solve_dense(),
             SolverBackend::SparseCg => self.solve_sparse(),
         }
     }
@@ -333,7 +333,9 @@ impl FemModel {
     /// # Errors
     ///
     /// As for [`solve`](Self::solve), plus
-    /// [`FemError::CgNoConvergence`] when the iteration budget runs out.
+    /// [`FemError::CgNoConvergence`] when the iteration budget runs out
+    /// and [`FemError::CgBreakdown`] when the iteration finds the matrix
+    /// not positive definite (see [`solve_cg`](crate::solve_cg)).
     pub fn solve_sparse(&self) -> Result<Solution, FemError> {
         self.solve_sparse_with(&CgOptions::new())
     }
@@ -840,10 +842,15 @@ pub(crate) mod tests {
         model.fix_y(NodeId(3));
         model.add_force(NodeId(11), 8.0, 3.0);
         let reference = model.solve_with(SolverBackend::Band).unwrap();
-        for backend in SolverBackend::ALL {
-            let solution = model.solve_with(backend).unwrap();
+        let dense = ("dense".to_owned(), model.solve_dense());
+        for (name, solution) in SolverBackend::ALL
+            .iter()
+            .map(|&backend| (backend.to_string(), model.solve_with(backend)))
+            .chain([dense])
+        {
+            let solution = solution.unwrap();
             for (a, b) in reference.dofs().iter().zip(solution.dofs()) {
-                assert!((a - b).abs() < 1e-9, "{backend}: {a} vs {b}");
+                assert!((a - b).abs() < 1e-9, "{name}: {a} vs {b}");
             }
         }
     }

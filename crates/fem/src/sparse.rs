@@ -516,6 +516,9 @@ impl<'a> CgSystem<'a> {
                 actual: b.len(),
             });
         }
+        if let Some(equation) = b.iter().position(|v| !v.is_finite()) {
+            return Err(FemError::NonFinite { equation });
+        }
         let stats = |iterations, residual| CgStats {
             iterations,
             residual,
@@ -538,21 +541,27 @@ impl<'a> CgSystem<'a> {
 
         for iteration in 1..=budget {
             self.matrix.mul_vec_into(&p, &mut q);
+            // Matrix and `b` are finite, so a curvature that is not
+            // positive, or a step that overflows, means A is not
+            // positive definite along `p`.
             let pq = dot(&p, &q);
-            if !pq.is_finite() {
-                return Err(FemError::NonFinite { equation: 0 });
-            }
-            if pq <= 0.0 {
-                return Err(FemError::SingularMatrix { equation: 0 });
-            }
             let alpha = rz / pq;
+            if !pq.is_finite() || pq <= 0.0 || !alpha.is_finite() {
+                return Err(FemError::CgBreakdown {
+                    iteration,
+                    curvature: pq,
+                });
+            }
             for i in 0..n {
                 x[i] += alpha * p[i];
                 r[i] -= alpha * q[i];
             }
             residual = dot(&r, &r).sqrt() / b_norm;
             if !residual.is_finite() {
-                return Err(FemError::NonFinite { equation: 0 });
+                return Err(FemError::CgBreakdown {
+                    iteration,
+                    curvature: pq,
+                });
             }
             if residual <= options.tolerance {
                 return Ok((x, stats(iteration, residual)));
@@ -592,13 +601,14 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// * [`FemError::RhsLength`] when `b` does not match the matrix order.
 /// * [`FemError::SingularMatrix`] when a diagonal entry is not positive,
-///   a pivot of the complete factor falls to 1e-10 of its diagonal or
-///   below (as in `Skyline`), or the iteration meets a
-///   direction of non-positive curvature — the matrix is not positive
-///   definite (an under-constrained model). The complete factor names
-///   the failing equation.
-/// * [`FemError::NonFinite`] when the matrix stores a NaN or infinity,
-///   or one reaches a pivot or enters the iteration.
+///   or a pivot of the complete factor falls to 1e-10 of its diagonal or
+///   below (as in `Skyline`), naming the failing equation.
+/// * [`FemError::CgBreakdown`] when the iteration on IC(0) or Jacobi
+///   meets a direction of non-positive curvature, or one so flat that
+///   its step overflows, naming the iteration: the matrix is not
+///   positive definite (an under-constrained model).
+/// * [`FemError::NonFinite`] when the matrix or `b` holds a NaN or
+///   infinity, or one reaches a pivot of the complete factor.
 /// * [`FemError::CgNoConvergence`] when the iteration budget runs out
 ///   before the tolerance is met.
 pub fn solve_cg(
@@ -772,6 +782,18 @@ mod tests {
             solve_cg(&m, &[1.0, 1.0], &CgOptions::new()).unwrap_err(),
             FemError::SingularMatrix { equation: 1 }
         );
+        // Where the rule picks IC(0), it breaks down at the same pivot
+        // and Jacobi preconditions: the first step runs along (1, 0)
+        // with curvature 1, the second along (4, −2) with curvature −12.
+        let system = incomplete(&m);
+        assert_eq!(system.ic0_fallbacks(), 1);
+        assert_eq!(
+            system.solve(&[1.0, 0.0], &CgOptions::new()).unwrap_err(),
+            FemError::CgBreakdown {
+                iteration: 2,
+                curvature: -12.0
+            }
+        );
     }
 
     #[test]
@@ -780,6 +802,12 @@ mod tests {
         m.add(2, 3, f64::NAN);
         assert_eq!(
             solve_cg(&m, &[1.0; 4], &CgOptions::new()).unwrap_err(),
+            FemError::NonFinite { equation: 2 }
+        );
+        // A non-finite load names its own equation too.
+        let load = [1.0, 1.0, f64::INFINITY, 1.0];
+        assert_eq!(
+            solve_cg(&laplacian(4), &load, &CgOptions::new()).unwrap_err(),
             FemError::NonFinite { equation: 2 }
         );
     }

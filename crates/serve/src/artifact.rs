@@ -38,8 +38,9 @@ pub(crate) fn json_escape(text: &str) -> String {
 ///   a deck.
 /// * **422** — the deck parsed but the analysis refused it: lint denials,
 ///   audit violations, solver failures (including
-///   [`FemError::CgNoConvergence`]), idealization or contour errors. The
-///   request was well-formed; the content was not processable.
+///   [`FemError::CgNoConvergence`] and [`FemError::CgBreakdown`]),
+///   idealization or contour errors. The request was well-formed; the
+///   content was not processable.
 pub fn status_for_error(error: &PipelineError) -> u16 {
     match (error.stage(), error.source_error()) {
         (Stage::DeckParse, StageError::Card(_)) | (Stage::DeckParse, StageError::Idlz(_)) => 400,
@@ -56,6 +57,7 @@ pub fn error_kind(error: &PipelineError) -> &'static str {
         StageError::Idlz(_) if error.stage() == Stage::DeckParse => "deck_parse",
         StageError::Idlz(_) => "idealization",
         StageError::Fem(FemError::CgNoConvergence { .. }) => "cg_no_convergence",
+        StageError::Fem(FemError::CgBreakdown { .. }) => "cg_breakdown",
         StageError::Fem(_) => "analysis",
         StageError::Ospl(_) => "contour",
         StageError::Audit(_) => "audit_violation",
@@ -265,6 +267,22 @@ mod tests {
             .expect_err("one CG iteration cannot converge");
         assert_eq!(status_for_error(&err), 422);
         assert_eq!(error_kind(&err), "cg_no_convergence");
+
+        // An under-constrained model on the IC(0) path breaks CG down
+        // instead (tests/sparse.rs drives one); the status and kind
+        // depend on the error alone.
+        let err = PipelineError::at(
+            Stage::Solve,
+            StageError::Fem(FemError::CgBreakdown {
+                iteration: 73,
+                curvature: -1.9e15,
+            }),
+        );
+        assert_eq!(status_for_error(&err), 422);
+        assert_eq!(error_kind(&err), "cg_breakdown");
+        let body = pipeline_error_body(&err);
+        assert!(body.contains("\"kind\": \"cg_breakdown\""), "{body}");
+        assert!(body.contains("broke down at iteration 73"), "{body}");
     }
 
     #[test]

@@ -75,23 +75,29 @@ fn plate_model(side: i32, load: f64) -> FemModel {
 /// solve exactly, so the displacements scale bit for bit and CG takes
 /// the same iterations — what `perf`'s `plate_load` relies on to vary
 /// `large_plate`'s input without varying its work. `SparseCg` runs the
-/// 8 × 8 plate on the complete factor and the 40 × 40 square on IC(0).
+/// 8 × 8 plate on the complete factor and the 40 × 40 square on IC(0);
+/// `None` is the dense oracle, [`FemModel::solve_dense`].
 #[test]
 fn power_of_two_load_scales_scale_every_backend_exactly() {
-    use SolverBackend::{Band, Dense, Skyline, SparseCg};
-    let cases: [(i32, &[SolverBackend], u64); 2] = [
-        (8, &[Band, Skyline, Dense, SparseCg], 1),
-        (40, &[SparseCg], 0),
+    use SolverBackend::{Band, Skyline, SparseCg};
+    let cases: [(i32, &[Option<SolverBackend>], u64); 2] = [
+        (8, &[Some(Band), Some(Skyline), None, Some(SparseCg)], 1),
+        (40, &[Some(SparseCg)], 0),
     ];
     for (side, backends, complete_factors) in cases {
         for &backend in backends {
+            let name = backend.map_or("dense".to_owned(), |b| b.to_string());
             let solve = |load: f64| {
                 let model = plate_model(side, load);
-                cafemio::instrument::record(|| model.solve_with(backend).unwrap())
+                cafemio::instrument::record(|| {
+                    backend
+                        .map_or_else(|| model.solve_dense(), |b| model.solve_with(b))
+                        .unwrap()
+                })
             };
             let (base, base_report) = solve(10.0);
             let base_iterations = base_report.counter("fem.cg.iterations");
-            if backend == SparseCg {
+            if backend == Some(SparseCg) {
                 assert_eq!(
                     base_report.counter("fem.cg.complete_factors"),
                     Some(complete_factors),
@@ -102,12 +108,12 @@ fn power_of_two_load_scales_scale_every_backend_exactly() {
                 let scale = 2f64.powi(k);
                 let (scaled, report) = solve(10.0 * scale);
                 let iterations = report.counter("fem.cg.iterations");
-                assert_eq!(iterations, base_iterations, "{side}: {backend:?} at 2^{k}");
+                assert_eq!(iterations, base_iterations, "{side}: {name} at 2^{k}");
                 for (i, (u, v)) in base.dofs().iter().zip(scaled.dofs()).enumerate() {
                     assert_eq!(
                         (u * scale).to_bits(),
                         v.to_bits(),
-                        "{side}: {backend:?} at 2^{k}, dof {i}"
+                        "{side}: {name} at 2^{k}, dof {i}"
                     );
                 }
             }
@@ -178,44 +184,72 @@ fn cg_non_convergence_is_a_typed_error() {
     );
 }
 
-/// A 20 × 20 plane-strain unit square held at one node only can still
-/// spin about it. That rigid rotation eliminates to a round-off pivot,
-/// 1e-14 of its diagonal here, not to an exact zero, and a bare
+/// A plane-strain unit square held at one node only can still spin
+/// about it. That rigid rotation eliminates to a round-off pivot, 1e-14
+/// of its diagonal on the 20 × 20 grid, not to an exact zero, and a bare
 /// `d_j <= 0` test let `Band` and `Skyline` solve it with displacements
-/// of order 1e9. The relative pivot floor rejects it on every factor,
-/// `SparseCg`'s complete factor included, at the same equation.
+/// of order 1e9. The relative pivot floor rejects it on every factor:
+/// `Band`, `Skyline` and `SparseCg`'s complete factor at the same
+/// equation, and the dense oracle at whichever column its row swaps
+/// leave the rotation in. The 40 × 40 grid sends `SparseCg` to IC(0),
+/// where CG meets the rotation as a direction of non-positive curvature
+/// and names the iteration. The dense oracle runs on the 20 × 20 grid
+/// only: the 40 × 40 one has 3 362 dofs, too many for an O(n³) check in
+/// a debug build.
 #[test]
 fn a_model_held_at_one_node_is_singular_on_every_factor() {
-    let mut spec = plate::spec(20, 20, 1.0, 1.0);
-    let mut options = spec.options();
-    options.plots = false;
-    spec.set_options(options);
-    let mesh = Idealization::run(&spec).unwrap().mesh;
-    let at = |x: f64, y: f64| {
-        mesh.nodes()
-            .find(|(_, node)| {
-                (node.position.x - x).abs() < 1e-9 && (node.position.y - y).abs() < 1e-9
-            })
-            .map(|(id, _)| id)
-            .expect("grid node")
+    use SolverBackend::{Band, Skyline, SparseCg};
+    let pinned = |side: i32| {
+        let mut spec = plate::spec(side, side, 1.0, 1.0);
+        let mut options = spec.options();
+        options.plots = false;
+        spec.set_options(options);
+        let mesh = Idealization::run(&spec).unwrap().mesh;
+        let at = |x: f64, y: f64| {
+            mesh.nodes()
+                .find(|(_, node)| {
+                    (node.position.x - x).abs() < 1e-9 && (node.position.y - y).abs() < 1e-9
+                })
+                .map(|(id, _)| id)
+                .expect("grid node")
+        };
+        let mut model = FemModel::new(
+            mesh.clone(),
+            AnalysisKind::PlaneStrain,
+            Material::isotropic(30.0e6, 0.3),
+        );
+        model.fix_both(at(0.2, 0.2));
+        model.add_force(at(1.0, 1.0), 0.0, -1000.0);
+        model
     };
-    let mut model = FemModel::new(
-        mesh.clone(),
-        AnalysisKind::PlaneStrain,
-        Material::isotropic(30.0e6, 0.3),
-    );
-    model.fix_both(at(0.2, 0.2));
-    model.add_force(at(1.0, 1.0), 0.0, -1000.0);
     // The rotation is the last mode left when elimination reaches the
     // last equation.
-    let last = 2 * mesh.node_count() - 1;
-    for backend in [SolverBackend::Band, SolverBackend::Skyline, SolverBackend::SparseCg] {
-        let outcome = model.solve_with(backend);
-        assert!(
-            matches!(outcome, Err(FemError::SingularMatrix { equation }) if equation == last),
-            "{backend:?}: {outcome:?}"
-        );
-    }
+    let singular_at_last = |side: i32, backends: &[SolverBackend]| {
+        let model = pinned(side);
+        let last = 2 * model.mesh().node_count() - 1;
+        for &backend in backends {
+            let outcome = model.solve_with(backend);
+            assert!(
+                matches!(outcome, Err(FemError::SingularMatrix { equation }) if equation == last),
+                "{side}: {backend:?}: {outcome:?}"
+            );
+        }
+        model
+    };
+    let model = singular_at_last(20, &[Band, Skyline, SparseCg]);
+    let outcome = model.solve_dense();
+    assert!(
+        matches!(outcome, Err(FemError::SingularMatrix { .. })),
+        "dense: {outcome:?}"
+    );
+
+    let model = singular_at_last(40, &[Band, Skyline]);
+    let (outcome, report) = cafemio::instrument::record(|| model.solve_with(SparseCg));
+    assert_eq!(report.counter("fem.cg.complete_factors"), Some(0), "IC(0)");
+    assert!(
+        matches!(outcome, Err(FemError::CgBreakdown { curvature, .. }) if curvature <= 0.0),
+        "{outcome:?}"
+    );
 }
 
 #[test]
